@@ -69,6 +69,7 @@ pub fn load(path: impl AsRef<Path>) -> Result<Workload, IoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::erp::{self, ErpConfig};
     use crate::synthetic::{self, SyntheticConfig};
 
     #[test]
@@ -105,6 +106,18 @@ mod tests {
         save(&w, &path).unwrap();
         assert_eq!(load(&path).unwrap(), w);
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn erp_scale_file_round_trip() {
+        // The paper's Fig. 4 size (500 tables, 4,204 attributes, 2,271
+        // templates); loading it must stay fast in debug builds too.
+        let w = erp::generate(&ErpConfig { seed: 1, ..ErpConfig::default() });
+        let path = std::env::temp_dir().join(format!("isel_io_erp_{}.json", std::process::id()));
+        save(&w, &path).unwrap();
+        let back = load(&path);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(back.unwrap(), w);
     }
 
     #[test]
