@@ -1,25 +1,26 @@
-//! Service ingestion throughput: the daemon's reader → bounded queue →
-//! window-aggregation path, isolated from tuning.
+//! Service ingestion throughput: the router's whole-schema mode (no
+//! `--shards`) — classify → bounded queue → parse and window
+//! aggregation on the shard thread — isolated from tuning.
 //!
-//! The acceptance bar for the continuous-tuning daemon is sustained
+//! The acceptance bar for the continuous-tuning service is sustained
 //! ingestion of **≥ 50 000 events/sec with a zero drop counter** (see
 //! BENCH_service.json). Both measurements set `epoch_events` above the
 //! log length so no epoch seals — tuning cost is Algorithm 1's business
 //! and is measured elsewhere; here we want the streaming overhead alone:
-//! JSON parse + validation, queue hand-off between the reader and
-//! consumer threads, and the per-event `BTreeMap` fold into the current
-//! epoch.
+//! line classification, queue hand-off between the router and shard
+//! threads, JSON parse + validation, and the per-event `BTreeMap` fold
+//! into the current epoch.
 //!
 //! * `reader_queue_window` drives the pipeline flat-out under the
 //!   lossless blocking policy: its per-run time gives the pipeline's
 //!   *capacity* in events/sec.
 //! * `paced_overload_check` replays the same log through the drop-oldest
 //!   policy at a paced 50 000 events/sec arrival rate and fails if a
-//!   single event is shed — the live daemon's zero-drop contract at the
+//!   single event is shed — the live service's zero-drop contract at the
 //!   target rate.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use isel_service::{parse_line, Daemon, InputLine, OverloadPolicy, ServiceConfig};
+use isel_service::{parse_line, InputLine, OverloadPolicy, Router, ServiceConfig};
 use isel_workload::synthetic::{self, SyntheticConfig};
 use isel_workload::Workload;
 use std::io::{BufRead, Cursor, Read};
@@ -82,15 +83,10 @@ fn bench_ingest_end_to_end(c: &mut Criterion) {
         &log,
         |b, log| {
             b.iter_batched(
-                || Daemon::new(w.schema().clone(), cfg.clone()).expect("valid config"),
-                |mut daemon| {
-                    let report = daemon
-                        .run_reader(
-                            Cursor::new(log.as_bytes()),
-                            OverloadPolicy::Block,
-                            None,
-                            isel_core::Trace::disabled(),
-                        )
+                || Router::new(w.schema().clone(), cfg.clone()).expect("valid config"),
+                |mut router| {
+                    let report = router
+                        .run_reader(Cursor::new(log.as_bytes()), OverloadPolicy::Block, None, &[])
                         .expect("ingest run");
                     assert_eq!(report.ingested as usize, EVENTS);
                     assert_eq!(report.dropped, 0, "blocking pushes never drop");
@@ -170,21 +166,16 @@ fn paced_overload_check(_c: &mut Criterion) {
     const RATE: u64 = 50_000;
     let w = workload();
     let log = event_log(&w, EVENTS);
-    let mut daemon = Daemon::new(w.schema().clone(), ingest_config()).expect("valid config");
+    let mut router = Router::new(w.schema().clone(), ingest_config()).expect("valid config");
     let start = Instant::now();
-    let report = daemon
-        .run_reader(
-            PacedLines::new(&log, RATE),
-            OverloadPolicy::DropOldest,
-            None,
-            isel_core::Trace::disabled(),
-        )
+    let report = router
+        .run_reader(PacedLines::new(&log, RATE), OverloadPolicy::DropOldest, None, &[])
         .expect("paced run");
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(report.ingested as usize, EVENTS);
     assert_eq!(
         report.dropped, 0,
-        "daemon shed events at {RATE}/s — below the acceptance rate"
+        "service shed events at {RATE}/s — below the acceptance rate"
     );
     println!(
         "service_paced_overload_check: {} events at {RATE}/s in {secs:.3}s, \

@@ -1,29 +1,29 @@
-//! `serve`, `replay` and `record` — the continuous-tuning daemon's
+//! `serve`, `replay` and `record` — the continuous-tuning service's
 //! command-line surface (crate `isel-service`).
 //!
 //! `record` samples a JSONL event log from a generated workload's
 //! templates (frequency-weighted, seeded); `replay` feeds such a log
-//! through the daemon losslessly and can diff the produced selection
+//! through the [`Router`] losslessly and can diff the produced selection
 //! sequence against the offline `dynamic::adapt` reference
 //! (`--offline-check`, the DESIGN.md §12 determinism contract); `serve`
-//! runs the daemon live on stdin or a Unix-domain socket with the
-//! drop-oldest overload policy.
+//! runs the service live on stdin or a Unix-domain socket with the
+//! drop-oldest overload policy (`--workers N` through the multi-process
+//! [`Supervisor`]).
 //!
-//! `--shards N` (N >= 1) routes both commands through the sharded
-//! [`Router`] (DESIGN.md §13): events are classified by table group and
-//! tuned on independent worker threads, with per-shard checkpoints
-//! committed atomically through a manifest. The selection sequence is
+//! Without `--shards` every table feeds one whole-schema tuning group.
+//! `--shards N` (N >= 1) tunes each table as its own group on N worker
+//! threads (DESIGN.md §13), with per-shard checkpoints committed
+//! atomically through a manifest; the selection sequence is then
 //! bit-identical at every shard count.
 
 use crate::args::Args;
 use crate::commands::{create_trace_sink, finish_trace, load_workload, trace_sink, FileSink};
-use isel_core::{Trace, TraceSink};
+use isel_core::TraceSink;
 use isel_service::{
-    install_status_signal, journal::is_manifest, offline_adapt, offline_group_adapt,
-    offline_group_snapshots, offline_snapshots, read_journal_bytes, run_socket,
-    run_socket_router, run_socket_supervisor, Checkpoint, Daemon, EpochOutcome,
-    FrameEncoder, JournalConfig, MappedFile, OverloadPolicy, Router, ServiceConfig,
-    ServiceReport, Supervisor, TeeReader, WireFormat, MAGIC,
+    install_status_signal, journal::is_manifest, offline_group_adapt, offline_group_snapshots,
+    read_journal_bytes, run_socket, EpochOutcome, FrameEncoder, JournalConfig, MappedFile,
+    OverloadPolicy, Router, ServiceConfig, ServiceReport, Supervisor, TeeReader, WireFormat,
+    MAGIC,
 };
 use isel_workload::erp::{self, ErpConfig};
 use isel_workload::synthetic::{self, SyntheticConfig};
@@ -165,36 +165,10 @@ fn service_config(args: &Args) -> Result<ServiceConfig, String> {
     Ok(cfg)
 }
 
-/// Build the daemon: fresh, or resumed from `--checkpoint FILE` when
-/// `--resume` is set and the file exists.
-fn make_daemon(
-    workload: &Workload,
-    config: ServiceConfig,
-    checkpoint: Option<&Path>,
-    resume: bool,
-) -> Result<Daemon, String> {
-    if resume {
-        let path = checkpoint.ok_or("--resume requires --checkpoint FILE")?;
-        if path.exists() {
-            let cp = Checkpoint::load(path)?;
-            let daemon = Daemon::resume(workload.schema().clone(), config, &cp)?;
-            eprintln!(
-                "resumed from {} at epoch {} ({} events ingested)",
-                path.display(),
-                daemon.epoch(),
-                cp.ingested
-            );
-            return Ok(daemon);
-        }
-        eprintln!("no checkpoint at {}; starting fresh", path.display());
-    }
-    Daemon::new(workload.schema().clone(), config)
-}
-
-/// Build the sharded router: fresh, or resumed from the checkpoint
-/// manifest at `--checkpoint FILE` when `--resume` is set and the
-/// manifest exists. Resuming at a different `--shards` count is fine —
-/// table groups are repacked onto the new shard layout.
+/// Build the router: fresh, or resumed from the checkpoint manifest at
+/// `--checkpoint FILE` when `--resume` is set and the manifest exists.
+/// Resuming per-table groups at a different `--shards N` count is fine —
+/// they are repacked onto the new shard layout.
 fn make_router(
     workload: &Workload,
     config: ServiceConfig,
@@ -269,15 +243,17 @@ fn serve_supervised(
     let sink = trace_sink(args)?;
     let report = {
         let sink_ref = sink.as_ref().map(|s| s as &dyn TraceSink);
+        let board = sup.status_board();
         match args.get("socket") {
-            Some(path) => run_socket_supervisor(
-                &mut sup,
-                Path::new(path),
-                checkpoint,
-                journal,
-                sink_ref,
-            )?,
-            None => sup.run_reader(
+            Some(path) => {
+                let schema = sup.schema().clone();
+                run_socket(Path::new(path), journal, &schema, &board, |input, registry| {
+                    sup.set_interactive(registry);
+                    sup.run_with_board(&board, input, checkpoint, sink_ref)
+                })?
+            }
+            None => sup.run_with_board(
+                &board,
                 BufReader::new(std::io::stdin()),
                 checkpoint,
                 sink_ref,
@@ -371,19 +347,23 @@ pub fn worker(_args: &Args) -> Result<(), String> {
     isel_service::run_worker()
 }
 
-/// `--trace FILE` under `--shards N`: one trace file per shard, named
-/// `FILE.shard-{k}` — each is a complete, checkable event stream for the
-/// runs that executed on that shard (in the `--trace-format` encoding).
+/// `--trace FILE`: one trace file per shard, named `FILE.shard-{k}` —
+/// each is a complete, checkable event stream for the runs that executed
+/// on that shard (in the `--trace-format` encoding). Whole-schema mode
+/// runs on one shard and writes `FILE` itself.
 fn shard_trace_sinks(args: &Args, shards: u32) -> Result<Vec<FileSink>, String> {
     match args.get("trace") {
         None => Ok(Vec::new()),
+        Some(base) if shards == 0 => Ok(vec![create_trace_sink(args, base)?]),
         Some(base) => (0..shards)
             .map(|k| create_trace_sink(args, &format!("{base}.shard-{k}")))
             .collect(),
     }
 }
 
-/// Run the sharded router over `input` and flush any per-shard traces.
+/// Run the router over `input` — or, given a socket path and optional
+/// journal, over the socket's connections — and flush any per-shard
+/// traces.
 fn run_router<R: BufRead + Send>(
     args: &Args,
     workload: &Workload,
@@ -391,12 +371,24 @@ fn run_router<R: BufRead + Send>(
     checkpoint: Option<&Path>,
     input: R,
     policy: OverloadPolicy,
+    socket: Option<(&Path, Option<&JournalConfig>)>,
 ) -> Result<ServiceReport, String> {
+    let shards = config.shards;
     let mut router = make_router(workload, config, checkpoint, args.flag("resume"))?;
-    let sinks = shard_trace_sinks(args, router.shards())?;
+    let sinks = shard_trace_sinks(args, shards)?;
     let report = {
         let refs: Vec<&dyn TraceSink> = sinks.iter().map(|s| s as &dyn TraceSink).collect();
-        router.run_reader(input, policy, checkpoint, &refs)?
+        let board = router.status_board();
+        match socket {
+            Some((path, journal)) => {
+                let schema = router.schema().clone();
+                run_socket(path, journal, &schema, &board, |input, registry| {
+                    router.set_interactive(registry);
+                    router.run_with_board(&board, input, policy, checkpoint, &refs)
+                })?
+            }
+            None => router.run_with_board(&board, input, policy, checkpoint, &refs)?,
+        }
     };
     for sink in sinks {
         finish_trace(Some(sink))?;
@@ -469,10 +461,9 @@ fn journal_config(args: &Args) -> Result<Option<JournalConfig>, String> {
     }
 }
 
-/// `isel serve` — run the daemon on stdin (default) or `--socket PATH`
+/// `isel serve` — run the service on stdin (default) or `--socket PATH`
 /// with the drop-oldest overload policy until EOF or a
 /// `{"control":"shutdown"}` line, then drain, checkpoint and report.
-/// `--shards N` serves through the sharded router (stdin or socket);
 /// `--journal FILE` (socket mode) records every accepted line with
 /// connection/sequence tags for deterministic replay. `SIGUSR1` or a
 /// `{"control":"status"}` line renders a live JSON status line, and
@@ -505,66 +496,20 @@ pub fn serve(args: &Args) -> Result<(), String> {
             journal.as_ref(),
         );
     }
-    if config.shards > 0 {
-        if let Some(path) = args.get("socket") {
-            let mut router =
-                make_router(&workload, config, checkpoint.as_deref(), args.flag("resume"))?;
-            let sinks = shard_trace_sinks(args, router.shards())?;
-            let report = {
-                let refs: Vec<&dyn TraceSink> =
-                    sinks.iter().map(|s| s as &dyn TraceSink).collect();
-                run_socket_router(
-                    &mut router,
-                    Path::new(path),
-                    checkpoint.as_deref(),
-                    journal.as_ref(),
-                    &refs,
-                )?
-            };
-            for sink in sinks {
-                finish_trace(Some(sink))?;
-            }
-            print_report(&report, &workload);
-            return Ok(());
-        }
-        let report = run_router(
-            args,
-            &workload,
-            config,
-            checkpoint.as_deref(),
-            BufReader::new(std::io::stdin()),
-            OverloadPolicy::DropOldest,
-        )?;
-        print_report(&report, &workload);
-        return Ok(());
-    }
-    let mut daemon =
-        make_daemon(&workload, config, checkpoint.as_deref(), args.flag("resume"))?;
-    let sink = trace_sink(args)?;
-    let report = {
-        let trace = sink.as_ref().map_or(Trace::disabled(), |s| Trace::to(s));
-        match args.get("socket") {
-            Some(path) => run_socket(
-                &mut daemon,
-                Path::new(path),
-                checkpoint.as_deref(),
-                journal.as_ref(),
-                trace,
-            )?,
-            None => daemon.run_reader(
-                BufReader::new(std::io::stdin()),
-                OverloadPolicy::DropOldest,
-                checkpoint.as_deref(),
-                trace,
-            )?,
-        }
-    };
-    finish_trace(sink)?;
+    let report = run_router(
+        args,
+        &workload,
+        config,
+        checkpoint.as_deref(),
+        BufReader::new(std::io::stdin()),
+        OverloadPolicy::DropOldest,
+        args.get("socket").map(|p| (Path::new(p), journal.as_ref())),
+    )?;
     print_report(&report, &workload);
     Ok(())
 }
 
-/// `isel replay` — feed a recorded `--log FILE` through the daemon
+/// `isel replay` — feed a recorded `--log FILE` through the router
 /// losslessly (blocking pushes; nothing is ever dropped).
 /// `--offline-check` forces the always-adapt drift thresholds and
 /// verifies the selection sequence is bit-identical to the offline
@@ -599,90 +544,53 @@ pub fn replay(args: &Args) -> Result<(), String> {
         }
     }
     let reader = || Cursor::new(data.bytes());
-    if config.shards > 0 {
-        let report = run_router(
-            args,
-            &workload,
-            config.clone(),
-            checkpoint.as_deref(),
-            reader(),
-            OverloadPolicy::Block,
-        )?;
-        print_report(&report, &workload);
-        if args.flag("offline-check") {
-            let snaps = offline_group_snapshots(reader(), workload.schema(), &config)?;
-            let offline = offline_group_adapt(&snaps, &config);
-            let total: usize = offline.values().map(Vec::len).sum();
-            if report.epochs.len() != total {
-                return Err(format!(
-                    "offline check: router tuned {} epochs, per-group offline reference {total}",
-                    report.epochs.len()
-                ));
-            }
-            for out in &report.epochs {
-                let t = out
-                    .table
-                    .ok_or("offline check: sharded epochs must carry a table id")?
-                    .0;
-                let want = offline
-                    .get(&t)
-                    .and_then(|v| v.get(out.epoch as usize))
-                    .ok_or_else(|| {
-                        format!("offline check: no reference for table {t} epoch {}", out.epoch)
-                    })?;
-                if &out.selection != want {
-                    return Err(format!(
-                        "offline check: selections diverge at table {t} epoch {} \
-                         (router {} indexes, offline {})",
-                        out.epoch,
-                        out.selection.len(),
-                        want.len()
-                    ));
-                }
-            }
-            println!(
-                "offline check: {total} epochs across {} table groups bit-identical \
-                 to per-group dynamic::adapt",
-                offline.len()
-            );
-        }
-        return Ok(());
-    }
-    let mut daemon =
-        make_daemon(&workload, config.clone(), checkpoint.as_deref(), args.flag("resume"))?;
-    let sink = trace_sink(args)?;
-    let report = {
-        let trace = sink.as_ref().map_or(Trace::disabled(), |s| Trace::to(s));
-        daemon.run_reader(reader(), OverloadPolicy::Block, checkpoint.as_deref(), trace)?
-    };
-    finish_trace(sink)?;
+    let report = run_router(
+        args,
+        &workload,
+        config.clone(),
+        checkpoint.as_deref(),
+        reader(),
+        OverloadPolicy::Block,
+        None,
+    )?;
     print_report(&report, &workload);
-
     if args.flag("offline-check") {
-        let snaps = offline_snapshots(reader(), workload.schema(), &config)?;
-        let offline = offline_adapt(&snaps, &config);
-        if report.epochs.len() != offline.len() {
+        let snaps = offline_group_snapshots(reader(), workload.schema(), &config)?;
+        let offline = offline_group_adapt(&snaps, &config);
+        let total: usize = offline.values().map(Vec::len).sum();
+        if report.epochs.len() != total {
             return Err(format!(
-                "offline check: daemon tuned {} epochs, offline reference {}",
-                report.epochs.len(),
-                offline.len()
+                "offline check: router tuned {} epochs, per-group offline reference {total}",
+                report.epochs.len()
             ));
         }
-        for (out, want) in report.epochs.iter().zip(&offline) {
+        for out in &report.epochs {
+            let t = out.table.map_or(0, |t| t.0);
+            let want = offline
+                .get(&t)
+                .and_then(|v| v.get(out.epoch as usize))
+                .ok_or_else(|| {
+                    format!("offline check: no reference for table {t} epoch {}", out.epoch)
+                })?;
             if &out.selection != want {
                 return Err(format!(
-                    "offline check: selections diverge at epoch {} \
-                     (daemon {} indexes, offline {})",
+                    "offline check: selections diverge at table {t} epoch {} \
+                     (router {} indexes, offline {})",
                     out.epoch,
                     out.selection.len(),
                     want.len()
                 ));
             }
         }
-        println!(
-            "offline check: {} epochs bit-identical to dynamic::adapt",
-            offline.len()
-        );
+        if config.whole_schema() {
+            println!("offline check: {total} epochs bit-identical to dynamic::adapt");
+        } else {
+            println!(
+                "offline check: {total} epochs across {} table groups bit-identical \
+                 to per-group dynamic::adapt",
+                offline.len()
+            );
+        }
     }
     Ok(())
 }
@@ -888,40 +796,24 @@ pub fn budget(args: &Args) -> Result<(), String> {
     let workload = load_workload(args)?;
     let log = args.get("log").ok_or("missing --log FILE (or --socket PATH)")?;
     let config = service_config(args)?;
+    if tenant.is_some() && config.whole_schema() {
+        return Err("--tenant requires --shards N (the whole-schema group is one tenant)".into());
+    }
     let data = open_log(log)?;
-    if config.shards > 0 {
-        let mut router = make_router(&workload, config, None, false)?;
-        router.run_reader(Cursor::new(data.bytes()), OverloadPolicy::Block, None, &[])?;
-        let arbiter = router.arbiter();
-        if let Some(b) = set {
-            println!("{}", arbiter.set_budget(b));
-        }
-        for &b in &budgets {
-            println!(
-                "{}",
-                match tenant {
-                    Some(t) => arbiter.tenant(t, b),
-                    None => arbiter.whatif(b),
-                }
-            );
-        }
-        return Ok(());
-    }
-    if tenant.is_some() {
-        return Err("--tenant requires --shards N (the unsharded daemon is one tenant)".into());
-    }
-    let mut daemon = make_daemon(&workload, config, None, false)?;
-    daemon.run_reader(
-        Cursor::new(data.bytes()),
-        OverloadPolicy::Block,
-        None,
-        Trace::disabled(),
-    )?;
+    let mut router = make_router(&workload, config, None, false)?;
+    router.run_reader(Cursor::new(data.bytes()), OverloadPolicy::Block, None, &[])?;
+    let arbiter = router.arbiter();
     if let Some(b) = set {
-        println!("{}", daemon.arbiter().set_budget(b));
+        println!("{}", arbiter.set_budget(b));
     }
     for &b in &budgets {
-        println!("{}", daemon.arbiter().whatif(b));
+        println!(
+            "{}",
+            match tenant {
+                Some(t) => arbiter.tenant(t, b),
+                None => arbiter.whatif(b),
+            }
+        );
     }
     Ok(())
 }
@@ -983,8 +875,7 @@ fn budget_over_socket(
 ///
 /// Offline mode (`--log FILE`): replay the recorded log with calibration
 /// forced on and print the canonical `{"calibration":{...}}` snapshot
-/// line (`--shards N` routes through the sharded router and sums the
-/// per-group tables). Live mode (`--socket PATH`): stream `--log` (if
+/// line, summed over the tuning groups. Live mode (`--socket PATH`): stream `--log` (if
 /// given) into a serving socket, then issue the in-band
 /// `{"control":"calibration"}` barrier query and print the reply —
 /// byte-identical to the offline answer over the same events.
@@ -999,20 +890,9 @@ pub fn calibrate(args: &Args) -> Result<(), String> {
     // would learn, so calibration is on unless explicitly configured.
     config.calibration.enabled = true;
     let data = open_log(log)?;
-    if config.shards > 0 {
-        let mut router = make_router(&workload, config, None, false)?;
-        router.run_reader(Cursor::new(data.bytes()), OverloadPolicy::Block, None, &[])?;
-        println!("{}", router.calibration());
-        return Ok(());
-    }
-    let mut daemon = make_daemon(&workload, config, None, false)?;
-    daemon.run_reader(
-        Cursor::new(data.bytes()),
-        OverloadPolicy::Block,
-        None,
-        Trace::disabled(),
-    )?;
-    println!("{}", daemon.calibration());
+    let mut router = make_router(&workload, config, None, false)?;
+    router.run_reader(Cursor::new(data.bytes()), OverloadPolicy::Block, None, &[])?;
+    println!("{}", router.calibration());
     Ok(())
 }
 
@@ -1121,8 +1001,11 @@ mod tests {
             "replay --workload {w} --log {log} --epoch-events 16 --checkpoint {cp} --resume"
         )))
         .unwrap();
-        let restored = Checkpoint::load(std::path::Path::new(&cp)).unwrap();
-        assert_eq!(restored.epoch, 8);
+        let config = service_config(&argv("replay --epoch-events 16")).unwrap();
+        let workload = load_workload(&argv(&format!("replay --workload {w}"))).unwrap();
+        let restored =
+            Router::resume(workload.schema().clone(), config, std::path::Path::new(&cp)).unwrap();
+        assert_eq!(restored.epochs_tuned(), 8);
     }
 
     #[test]

@@ -318,3 +318,40 @@ fn served_calibration_answer_matches_offline() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The in-band calibration answer reports lifetime counters: a replay
+/// split after line 28, checkpointed and resumed, answers exactly like
+/// the uninterrupted replay — probes and gate actions from before the
+/// cut included — in whole-schema mode and under `--shards`.
+#[test]
+fn resumed_calibration_answer_counts_the_whole_stream() {
+    let dir = setup("resume");
+    let log = contradiction_log() + "{\"control\":\"calibration\"}\n";
+    std::fs::write(dir.join("ev_q.jsonl"), &log).unwrap();
+    let lines: Vec<&str> = log.lines().collect();
+    let head: String = lines[..28].iter().map(|l| format!("{l}\n")).collect();
+    let tail: String = lines[28..].iter().map(|l| format!("{l}\n")).collect();
+    std::fs::write(dir.join("head.jsonl"), head).unwrap();
+    std::fs::write(dir.join("tail.jsonl"), tail).unwrap();
+    let answer = |out: &Output| -> String {
+        assert_ok(out);
+        String::from_utf8_lossy(&out.stderr)
+            .lines()
+            .find(|l| l.starts_with("{\"calibration\":"))
+            .expect("the in-band calibration answer goes to stderr")
+            .to_owned()
+    };
+    for shards in ["0", "1"] {
+        let whole = answer(&replay(&dir, "ev_q.jsonl", shards, &[]));
+        assert!(whole.contains("\"probes\":4,"), "{whole}");
+        // The whole-schema group deploys without the gate.
+        let gated = shards != "0";
+        assert_eq!(whole.contains("\"rolled_back\":1,"), gated, "{whole}");
+        let cp = dir.join(format!("cp-{shards}.json"));
+        let cp = cp.to_str().unwrap();
+        assert_ok(&replay(&dir, "head.jsonl", shards, &["--checkpoint", cp]));
+        let resumed = answer(&replay(&dir, "tail.jsonl", shards, &["--checkpoint", cp, "--resume"]));
+        assert_eq!(resumed, whole, "resumed answer diverged at --shards {shards}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

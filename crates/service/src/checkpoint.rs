@@ -1,35 +1,34 @@
-//! Checkpoint / restore of the daemon's tuning state.
+//! Checkpoint / restore of the service's tuning state.
 //!
-//! A checkpoint is one JSON document capturing everything the consumer
-//! loop owns: the interned [`IndexPool`] (entries in id order — restoring
-//! re-interns them in order, which reproduces every id exactly, prefixes
-//! included), the current selection as pool ids, the drift baseline, the
-//! sliding window including the partial current epoch, the epoch counter
-//! and the ingestion counters. Restoring a checkpoint and feeding the
+//! The unit of saved state is the tuning group ([`GroupCheckpoint`]):
+//! its interned [`IndexPool`] (entries in id order — restoring re-interns
+//! them in order, which reproduces every id exactly, prefixes included),
+//! the current selection as pool ids, the drift baseline, the sliding
+//! window including the partial current epoch, the epoch counter and the
+//! last published frontier. Restoring a checkpoint and feeding the
 //! remainder of a log continues **bit-identically** with a run that was
-//! never interrupted (pinned by `tests/service.rs`).
+//! never interrupted (pinned by `tests/service.rs`). Group pools are
+//! compacted (canonically, see [`IndexPool::compact`]) when captured, so
+//! checkpoints do not grow with selection churn.
 //!
-//! Writes are atomic: the document lands in `<path>.tmp` and is renamed
-//! over the target, so a crash mid-write never leaves a torn checkpoint.
-//! All maps serialize in sorted order, so checkpoint bytes themselves are
-//! deterministic for identical state.
-//!
-//! # Sharded checkpoints
-//!
-//! The sharded router checkpoints per shard: each worker serializes its
-//! table groups as a [`ShardCheckpoint`] into
+//! Each shard serializes its groups as a [`ShardCheckpoint`] into
 //! `<name>.shard-{k}.g{generation}.json` next to the manifest path (see
-//! [`shard_file`]), and once every shard has committed a generation the
+//! [`shard_file`]), and once every shard has written a generation the
 //! router writes a [`Manifest`] naming those files at the user's
-//! checkpoint path — also via tmp+rename, so a kill at any moment leaves
-//! either the previous complete generation or the new one, never a mix
-//! (restore verifies each file's embedded generation against the
-//! manifest). Group state is placement-independent, so a manifest may be
-//! restored at a *different* shard count; groups are simply re-packed by
-//! the new map. Group pools are compacted (canonically, see
-//! [`IndexPool::compact`]) when captured, which keeps shard checkpoints
-//! from growing with selection churn — the legacy single-daemon
-//! [`Checkpoint`] format is unchanged.
+//! checkpoint path. Every write lands in `<path>.tmp` and is renamed over
+//! the target, so a kill at any moment leaves either the previous
+//! complete generation or the new one, never a mix (restore verifies
+//! each file's embedded generation against the manifest). All maps
+//! serialize in sorted order, so checkpoint bytes are deterministic for
+//! identical state.
+//!
+//! Whole-schema mode (`shards == 0`) uses the same format: a manifest
+//! plus one shard file holding one group whose `table` is
+//! [`WHOLE_SCHEMA`]. Per-table group state is placement-independent, so
+//! such a manifest may be restored at a *different* shard count; the
+//! grouping policy itself must match (see
+//! [`ShardCheckpoint::check_resumable`]). The single-document checkpoint
+//! of earlier releases is refused with an explanatory error.
 
 use crate::arbiter::PublishedFrontier;
 use crate::config::ServiceConfig;
@@ -65,47 +64,6 @@ pub struct SavedBatch {
     pub events: u64,
     /// Aggregated templates in key order.
     pub templates: Vec<SavedTemplate>,
-}
-
-/// Serialized daemon state.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct Checkpoint {
-    /// Document schema version ([`CHECKPOINT_VERSION`]).
-    pub version: u32,
-    /// Configuration the state was produced under; a restore under a
-    /// different aggregation configuration is refused.
-    pub config: ServiceConfig,
-    /// Sealed epochs tuned so far.
-    pub epoch: u64,
-    /// Valid query events ingested so far.
-    pub ingested: u64,
-    /// Invalid input lines skipped so far.
-    pub invalid: u64,
-    /// Events dropped under overload so far.
-    pub dropped: u64,
-    /// Pool entries in id order, each as its attribute list.
-    pub pool: Vec<Vec<u32>>,
-    /// Current selection as ids into `pool`.
-    pub selection: Vec<u32>,
-    /// Drift baseline: templates of the last re-selected snapshot, in
-    /// workload order.
-    pub baseline: Option<Vec<SavedTemplate>>,
-    /// Sealed window batches, oldest first.
-    pub window: Vec<SavedBatch>,
-    /// The partially-filled current epoch.
-    pub current: SavedBatch,
-    /// Frontier published to the arbiter by the last re-selecting epoch,
-    /// if any. Absent in pre-arbitration checkpoints (`serde` default),
-    /// which restore with no publication and simply re-publish on their
-    /// next re-selection.
-    #[serde(default)]
-    pub published: Option<PublishedFrontier>,
-    /// Observed-cost feedback state (see [`crate::feedback`]), present
-    /// only when calibration ran: absent in pre-calibration checkpoints
-    /// and with calibration disabled, so those documents stay
-    /// byte-identical to earlier releases.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub feedback: Option<FeedbackCheckpoint>,
 }
 
 fn save_batch(batch: &EpochBatch) -> SavedBatch {
@@ -225,119 +183,18 @@ fn restore_window(
     Ok(window)
 }
 
-impl Checkpoint {
-    /// Capture the consumer loop's state.
-    pub fn capture(
-        config: &ServiceConfig,
-        tuner: &Tuner,
-        window: &EpochWindow,
-        ingested: u64,
-        invalid: u64,
-        dropped: u64,
-    ) -> Self {
-        let pool = tuner.pool();
-        let entries: Vec<Vec<u32>> = (0..pool.len() as u32)
-            .map(|id| pool.attrs(IndexId(id)).iter().map(|a| a.0).collect())
-            .collect();
-        let selection: Vec<u32> = tuner
-            .selection()
-            .indexes()
-            .iter()
-            .map(|k| pool.intern(k).0)
-            .collect();
-        Self {
-            version: CHECKPOINT_VERSION,
-            config: config.clone(),
-            epoch: tuner.epoch(),
-            ingested,
-            invalid,
-            dropped,
-            pool: entries,
-            selection,
-            baseline: tuner.drift_baseline().map(save_workload),
-            window: window.window.iter().map(save_batch).collect(),
-            current: save_batch(&window.current),
-            published: tuner.published().map(|p| (**p).clone()),
-            feedback: None,
-        }
-    }
+/// The `table` a [`GroupCheckpoint`] records for the whole-schema group
+/// (no schema has this many tables). A marker value rather than an extra
+/// field keeps the bytes of per-table group documents unchanged.
+pub const WHOLE_SCHEMA: u16 = u16::MAX;
 
-    /// Attach observed-cost feedback state (see [`crate::feedback`]).
-    #[must_use]
-    pub fn with_feedback(mut self, feedback: Option<FeedbackCheckpoint>) -> Self {
-        self.feedback = feedback;
-        self
-    }
-
-    /// Rebuild tuner and window state over `schema`.
-    ///
-    /// The pool is re-interned entry by entry in id order; any divergence
-    /// between recorded and reproduced ids (a corrupted or reordered
-    /// document) is an error, as is a configuration mismatch.
-    pub fn restore(&self, schema: &Schema) -> Result<(Tuner, EpochWindow), String> {
-        if self.version != CHECKPOINT_VERSION {
-            return Err(format!(
-                "checkpoint version {} unsupported (expected {CHECKPOINT_VERSION})",
-                self.version
-            ));
-        }
-        let pool = restore_pool(schema, &self.pool)?;
-        let selection = restore_selection(&pool, &self.selection)?;
-        let baseline = self
-            .baseline
-            .as_ref()
-            .map(|t| load_workload(schema, t))
-            .transpose()?;
-        let window = restore_window(schema, &self.config, &self.window, &self.current)?;
-        let tuner = Tuner::restore(
-            self.config.clone(),
-            pool,
-            selection,
-            baseline,
-            self.epoch,
-            None,
-            self.published.clone().map(std::sync::Arc::new),
-        );
-        Ok((tuner, window))
-    }
-
-    /// Serialize to JSON text (one line).
-    pub fn to_json(&self) -> Result<String, String> {
-        serde_json::to_string(self).map_err(|e| format!("serialize checkpoint: {e}"))
-    }
-
-    /// Parse a checkpoint document.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("parse checkpoint: {e}"))
-    }
-
-    /// Atomically write the checkpoint to `path` (`<path>.tmp` + rename).
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        let json = self.to_json()?;
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, json.as_bytes())
-            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
-    }
-
-    /// Load a checkpoint from `path`.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::from_json(&text)
-    }
-}
-
-/// Saved state of one table group inside a [`ShardCheckpoint`].
-///
-/// The layout mirrors [`Checkpoint`] minus run-global fields: each group
-/// carries its own pool, selection, drift baseline and window. The pool
-/// is compacted on capture, so group checkpoints do not grow with
-/// selection churn.
+/// Saved state of one tuning group inside a [`ShardCheckpoint`]: its own
+/// pool, selection, drift baseline and window. The pool is compacted on
+/// capture, so group checkpoints do not grow with selection churn.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct GroupCheckpoint {
-    /// Table the group tunes.
+    /// Table the group tunes, or [`WHOLE_SCHEMA`] for the whole-schema
+    /// group.
     pub table: u16,
     /// Sealed epochs tuned by this group so far.
     pub epoch: u64,
@@ -369,11 +226,11 @@ pub struct GroupCheckpoint {
 }
 
 impl GroupCheckpoint {
-    /// Capture one table group, compacting its pool first (canonical:
+    /// Capture one tuning group, compacting its pool first (canonical:
     /// the result depends only on the group's logical state, so two runs
     /// that converged to the same state produce identical bytes).
     pub fn capture(tuner: &mut Tuner, window: &EpochWindow) -> Self {
-        let table = tuner.scope().expect("group tuners are table-scoped").0;
+        let table = tuner.scope().map_or(WHOLE_SCHEMA, |t| t.0);
         tuner.compact_pool();
         let pool = tuner.pool();
         let entries: Vec<Vec<u32>> = (0..pool.len() as u32)
@@ -412,13 +269,19 @@ impl GroupCheckpoint {
         serde_json::from_str(text).map_err(|e| format!("parse group checkpoint: {e}"))
     }
 
+    /// Whether this is the whole-schema group.
+    pub fn is_whole_schema(&self) -> bool {
+        self.table == WHOLE_SCHEMA
+    }
+
     /// Rebuild the group's tuner and window under `config`.
     pub fn restore(
         &self,
         schema: &Schema,
         config: &ServiceConfig,
     ) -> Result<(Tuner, EpochWindow), String> {
-        if self.table as usize >= schema.tables().len() {
+        let scope = (!self.is_whole_schema()).then_some(TableId(self.table));
+        if scope.is_some_and(|t| t.0 as usize >= schema.tables().len()) {
             return Err(format!("group checkpoint for unknown table t{}", self.table));
         }
         let pool = restore_pool(schema, &self.pool)?;
@@ -431,7 +294,7 @@ impl GroupCheckpoint {
             selection,
             baseline,
             self.epoch,
-            Some(TableId(self.table)),
+            scope,
             self.published.clone().map(std::sync::Arc::new),
         );
         Ok((tuner, window))
@@ -457,11 +320,43 @@ pub struct ShardCheckpoint {
     pub invalid: u64,
     /// Events dropped from this shard's queue.
     pub dropped: u64,
-    /// The shard's table groups, sorted by table id.
+    /// The shard's tuning groups, sorted by table id.
     pub groups: Vec<GroupCheckpoint>,
 }
 
 impl ShardCheckpoint {
+    /// Check that this state may seed a run under `config`: the
+    /// aggregation parameters must match (changing epoch sizing
+    /// mid-stream would corrupt every later snapshot), and so must the
+    /// grouping policy — whole-schema state cannot be split into
+    /// per-table groups, nor the reverse.
+    pub fn check_resumable(&self, config: &ServiceConfig) -> Result<(), String> {
+        let c = &self.config;
+        if c.epoch_events != config.epoch_events
+            || c.window_epochs != config.window_epochs
+            || c.max_templates != config.max_templates
+        {
+            return Err(format!(
+                "checkpoint aggregation config (epoch_events={}, window_epochs={}, \
+                 max_templates={}) does not match the requested configuration",
+                c.epoch_events, c.window_epochs, c.max_templates
+            ));
+        }
+        match self.groups.iter().find(|g| g.is_whole_schema() != config.whole_schema()) {
+            Some(g) if g.is_whole_schema() => Err(
+                "checkpoint holds whole-schema tuning state (written without --shards); \
+                 resume it without --shards"
+                    .into(),
+            ),
+            Some(_) => Err(
+                "checkpoint holds per-table tuning groups (written with --shards N); \
+                 resume it with --shards N (any N >= 1)"
+                    .into(),
+            ),
+            None => Ok(()),
+        }
+    }
+
     /// Serialize to JSON text (one line).
     pub fn to_json(&self) -> Result<String, String> {
         serde_json::to_string(self).map_err(|e| format!("serialize shard checkpoint: {e}"))
@@ -519,11 +414,25 @@ impl Manifest {
             .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
     }
 
-    /// Load a manifest from `path`.
+    /// Load a manifest from `path`. The single-document checkpoint that
+    /// earlier releases wrote without `--shards` is refused by name.
     pub fn load(path: &Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("read {}: {e}", path.display()))?;
-        serde_json::from_str(&text).map_err(|e| format!("parse manifest: {e}"))
+        serde_json::from_str(&text).map_err(|e| {
+            let legacy = serde_json::from_str::<serde_json::Value>(&text)
+                .is_ok_and(|v| v.get("pool").is_some() && v.get("files").is_none());
+            if legacy {
+                format!(
+                    "{} is a single-document checkpoint from an earlier release; checkpoints \
+                     are now a manifest plus shard files and the old format cannot be \
+                     resumed (replay the event log instead)",
+                    path.display()
+                )
+            } else {
+                format!("parse manifest: {e}")
+            }
+        })
     }
 
     /// Load and validate every shard file the manifest names, in order.
@@ -593,6 +502,7 @@ mod tests {
         })
     }
 
+    /// A whole-schema group (unscoped tuner) after a few sealed epochs.
     fn populated_state() -> (ServiceConfig, Tuner, EpochWindow) {
         let w = workload();
         let config = ServiceConfig {
@@ -613,59 +523,91 @@ mod tests {
         (config, tuner, window)
     }
 
+    fn shard_of(config: &ServiceConfig, groups: Vec<GroupCheckpoint>) -> ShardCheckpoint {
+        ShardCheckpoint {
+            version: CHECKPOINT_VERSION,
+            config: config.clone(),
+            shard: 0,
+            generation: 1,
+            ingested: 10,
+            invalid: 1,
+            dropped: 2,
+            groups,
+        }
+    }
+
     #[test]
     fn capture_restore_round_trips() {
-        let (config, tuner, window) = populated_state();
-        let cp = Checkpoint::capture(&config, &tuner, &window, 10, 1, 2);
-        let (tuner2, window2) = cp.restore(window.schema()).unwrap();
+        let (config, mut tuner, window) = populated_state();
+        let cp = GroupCheckpoint::capture(&mut tuner, &window);
+        assert!(cp.is_whole_schema());
+        let (tuner2, window2) = cp.restore(window.schema(), &config).unwrap();
         assert_eq!(tuner2.epoch(), tuner.epoch());
         assert_eq!(tuner2.selection(), tuner.selection());
         assert_eq!(tuner2.pool().len(), tuner.pool().len());
+        assert_eq!(tuner2.scope(), None, "the whole-schema group stays unscoped");
         assert_eq!(tuner2.drift_baseline(), tuner.drift_baseline());
         assert_eq!(window2.sealed_masses(), window.sealed_masses());
         assert_eq!(window2.current_events(), window.current_events());
         // A second capture of the restored state is byte-identical.
-        let cp2 = Checkpoint::capture(&config, &tuner2, &window2, 10, 1, 2);
+        let mut tuner2 = tuner2;
+        let cp2 = GroupCheckpoint::capture(&mut tuner2, &window2);
         assert_eq!(cp.to_json().unwrap(), cp2.to_json().unwrap());
     }
 
     #[test]
     fn json_round_trips() {
-        let (config, tuner, window) = populated_state();
-        let cp = Checkpoint::capture(&config, &tuner, &window, 10, 0, 0);
-        let back = Checkpoint::from_json(&cp.to_json().unwrap()).unwrap();
+        let (_, mut tuner, window) = populated_state();
+        let cp = GroupCheckpoint::capture(&mut tuner, &window);
+        let back = GroupCheckpoint::from_json(&cp.to_json().unwrap()).unwrap();
         assert_eq!(cp, back);
     }
 
     #[test]
     fn save_load_is_atomic_and_faithful() {
-        let (config, tuner, window) = populated_state();
-        let cp = Checkpoint::capture(&config, &tuner, &window, 10, 0, 0);
-        let dir = std::env::temp_dir().join("isel-service-cp-test");
+        let (config, mut tuner, window) = populated_state();
+        let cp = shard_of(&config, vec![GroupCheckpoint::capture(&mut tuner, &window)]);
+        let dir = std::env::temp_dir().join(format!("isel-service-cp-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("state.json");
         cp.save(&path).unwrap();
         assert!(!path.with_extension("tmp").exists(), "tmp file renamed away");
-        assert_eq!(Checkpoint::load(&path).unwrap(), cp);
-        std::fs::remove_file(&path).ok();
+        assert_eq!(ShardCheckpoint::load(&path).unwrap(), cp);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn reordered_pool_is_rejected() {
-        let (config, tuner, window) = populated_state();
-        let mut cp = Checkpoint::capture(&config, &tuner, &window, 0, 0, 0);
+        let (config, mut tuner, window) = populated_state();
+        let mut cp = GroupCheckpoint::capture(&mut tuner, &window);
         assert!(cp.pool.len() >= 2, "state must intern multiple entries");
         cp.pool.reverse();
-        let err = cp.restore(window.schema()).unwrap_err();
+        let err = cp.restore(window.schema(), &config).unwrap_err();
         assert!(err.contains("re-interned"), "{err}");
     }
 
     #[test]
     fn wrong_version_is_rejected() {
-        let (config, tuner, window) = populated_state();
-        let mut cp = Checkpoint::capture(&config, &tuner, &window, 0, 0, 0);
-        cp.version = 99;
-        assert!(cp.restore(window.schema()).unwrap_err().contains("version"));
+        let manifest = Manifest {
+            version: 99,
+            generation: 1,
+            shards: 1,
+            routed_lines: 0,
+            files: Vec::new(),
+        };
+        let err = manifest.load_shards(Path::new("checkpoint.json")).unwrap_err();
+        assert!(err.contains("version"), "{err}");
+    }
+
+    #[test]
+    fn legacy_single_document_checkpoints_are_refused() {
+        let dir = std::env::temp_dir().join(format!("isel-legacy-cp-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("daemon.json");
+        std::fs::write(&path, r#"{"version":1,"epoch":3,"pool":[[0]],"selection":[0]}"#).unwrap();
+        let err = Manifest::load(&path).unwrap_err();
+        assert!(err.contains("single-document checkpoint"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn populated_group(seed_offset: usize) -> (ServiceConfig, Tuner, EpochWindow) {

@@ -1,4 +1,4 @@
-//! Daemon configuration.
+//! Service configuration.
 
 use isel_core::dynamic::TransitionCosts;
 use serde::{Deserialize, Serialize};
@@ -69,7 +69,7 @@ impl Default for CalibrationConfig {
     }
 }
 
-/// Static configuration of a daemon run. Serialized into every
+/// Static configuration of a service run. Serialized into every
 /// checkpoint so a restore can verify it resumes under the same
 /// aggregation parameters (changing them mid-run would silently change
 /// every later snapshot).
@@ -98,10 +98,12 @@ pub struct ServiceConfig {
     /// Write a checkpoint every `n` sealed epochs (0 = only on a
     /// `checkpoint` control event and at shutdown).
     pub checkpoint_every_epochs: u64,
-    /// Number of router shards (0 = the legacy unsharded daemon; the
-    /// router requires at least 1). Tuning state is per table group at
-    /// every setting, so selections are shard-count-invariant — shards
-    /// only decide how groups are packed onto worker threads.
+    /// Number of router shards, which also picks the grouping policy
+    /// ([`Self::whole_schema`]). `0` tunes the whole schema as one
+    /// group on one shard thread, budgeted over the full schema. `N ≥ 1`
+    /// tunes every table as its own group, so selections are
+    /// shard-count-invariant: shards only decide how groups are packed
+    /// onto worker threads.
     #[serde(default)]
     pub shards: u32,
     /// Explicit table → shard placements overriding the default map
@@ -154,6 +156,26 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
+    /// Whether every table feeds one whole-schema tuning group
+    /// (`shards == 0`) instead of a group of its own. The whole-schema
+    /// group budgets over the full schema, publishes to the arbiter as
+    /// part `0`, answers no per-tenant queries and deploys without the
+    /// calibration gate (which needs a table-scoped rollback target).
+    pub fn whole_schema(&self) -> bool {
+        self.shards == 0
+    }
+
+    /// The tuning group `table`'s events feed: `0` for the
+    /// whole-schema group, the table itself otherwise. Also the part
+    /// key the group publishes under.
+    pub fn group_of(&self, table: u16) -> u16 {
+        if self.whole_schema() {
+            0
+        } else {
+            table
+        }
+    }
+
     /// Validate parameter ranges; returns the first problem found.
     pub fn validate(&self) -> Result<(), String> {
         if self.epoch_events == 0 {

@@ -1,705 +1,19 @@
-//! The continuous-tuning daemon: ingestion thread → bounded queue →
-//! aggregation/tuning loop, with checkpointing and graceful shutdown.
-//!
-//! The reader thread parses and validates lines, counting invalid ones,
-//! and pushes valid events and `checkpoint` controls onto the queue so
-//! they stay ordered with the surrounding events. Interactive `whatif`
-//! and `tenant` controls ride the queue the same way — as barrier items
-//! answered from the live [`crate::Arbiter`] once every event queued
-//! before them has been consumed. EOF or a `shutdown` control closes the
-//! queue; the consumer then drains every remaining event, tunes any
-//! epochs that seal while draining, writes a final checkpoint, and
-//! returns a [`ServiceReport`].
-//!
-//! [`offline_snapshots`] + [`offline_adapt`] are the pure reference
-//! implementations the replay determinism contract is checked against:
-//! feeding a recorded log through the daemon with
-//! [`crate::DriftThresholds::always_adapt`] produces exactly the
-//! selection sequence of `dynamic::adapt` over [`offline_snapshots`] of
-//! the same log.
-
-use crate::arbiter::{global_budget, Arbiter, PendingQuery};
-use crate::checkpoint::Checkpoint;
-use crate::config::ServiceConfig;
-use crate::event::{parse_line, Control, InputLine, ObservedEvent};
-use crate::feedback::{self, GroupFeedback};
-use crate::frame::WireItem;
-use crate::queue::BoundedQueue;
-use crate::records::{DecodeDict, Record, RecordIter};
-use crate::status::{take_status_signal, StatusBoard};
-use crate::tuner::{EpochOutcome, Tuner};
-use crate::window::EpochWindow;
-use isel_core::{budget, dynamic, Parallelism, Selection, Trace};
-use isel_costmodel::{AnalyticalWhatIf, CachingWhatIf, WhatIfOptimizer};
-use isel_workload::{Query, Schema, Workload};
-use std::io::BufRead;
-use std::path::Path;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
-
-/// What happens when the ingestion queue is full.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OverloadPolicy {
-    /// Producer waits — lossless; required for deterministic replay.
-    Block,
-    /// Oldest queued event is evicted (counted) — live serving.
-    DropOldest,
-}
-
-/// Work items flowing through the queue.
-pub(crate) enum WorkItem {
-    Query(Query),
-    /// An observed-cost probe for the feedback tracker.
-    Observed(ObservedEvent),
-    Checkpoint,
-    /// An interactive query queued as an in-band barrier: answered once
-    /// every event queued before it has been consumed.
-    Interactive(Arc<PendingQuery>),
-}
-
-/// Verdict of ingesting one line.
-pub(crate) enum Ingest {
-    /// Keep reading.
-    Continue,
-    /// A `shutdown` control arrived: stop ingesting, drain, finish.
-    Shutdown,
-    /// A `status` control arrived — out of band; the caller renders the
-    /// board line (stderr for stdin readers, back on the wire for
-    /// socket connections) without queuing anything.
-    Status,
-    /// An interactive `whatif`/`tenant` control arrived — the caller
-    /// queues it as an in-band barrier item and routes the reply.
-    Interactive(Control),
-}
-
-/// Summary of one daemon run.
-#[derive(Clone, Debug)]
-pub struct ServiceReport {
-    /// Outcome of every epoch tuned during this run, in order.
-    pub epochs: Vec<EpochOutcome>,
-    /// Valid query events ingested (lifetime total, including epochs
-    /// restored from a checkpoint).
-    pub ingested: u64,
-    /// Invalid input lines skipped (lifetime total).
-    pub invalid: u64,
-    /// Events dropped under overload (lifetime total).
-    pub dropped: u64,
-    /// Highest queue fill level observed this run.
-    pub queue_high_water: u64,
-    /// Checkpoints written this run.
-    pub checkpoints_written: u64,
-    /// Selection in force at shutdown.
-    pub final_selection: Selection,
-}
-
-/// Long-running advisor state machine. Create with [`Daemon::new`] or
-/// [`Daemon::resume`], then drive it with [`Daemon::run_reader`] (stdin /
-/// file / replay) or [`crate::socket::run_socket`] (live socket).
-pub struct Daemon {
-    schema: Schema,
-    config: ServiceConfig,
-    tuner: Tuner,
-    window: EpochWindow,
-    /// Live frontier arbitration. The unsharded daemon is one tenant —
-    /// everything publishes under part key 0 — so `whatif` queries work
-    /// but per-group `tenant` queries need the sharded router.
-    arbiter: Arc<Arbiter>,
-    /// Observed-cost feedback state. The unsharded daemon is one
-    /// whole-schema group: the tracker learns and calibrates tuning,
-    /// but the deployment gate stays idle (it needs table-scoped group
-    /// checkpoints as rollback targets; see [`crate::feedback`]).
-    feedback: GroupFeedback,
-    /// Lifetime counters restored from a checkpoint (zero for a fresh
-    /// daemon); this run's deltas are added on top.
-    base_ingested: u64,
-    base_invalid: u64,
-    base_dropped: u64,
-}
-
-impl Daemon {
-    /// Fresh daemon with empty state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first configuration problem, if any.
-    pub fn new(schema: Schema, config: ServiceConfig) -> Result<Self, String> {
-        config.validate()?;
-        let tuner = Tuner::new(&schema, config.clone());
-        let window = EpochWindow::new(
-            schema.clone(),
-            config.epoch_events,
-            config.window_epochs,
-            config.max_templates,
-        );
-        let arbiter = Arc::new(Arbiter::new(
-            global_budget(&schema, config.budget_share),
-            config.tenant_weights.clone(),
-        ));
-        let feedback = GroupFeedback::new(&config);
-        Ok(Self {
-            schema,
-            config,
-            tuner,
-            window,
-            arbiter,
-            feedback,
-            base_ingested: 0,
-            base_invalid: 0,
-            base_dropped: 0,
-        })
-    }
-
-    /// Daemon resuming from a checkpoint. The checkpoint must have been
-    /// written under the same aggregation configuration — silently
-    /// changing epoch sizing mid-stream would corrupt every later
-    /// snapshot.
-    pub fn resume(schema: Schema, config: ServiceConfig, cp: &Checkpoint) -> Result<Self, String> {
-        config.validate()?;
-        if cp.config.epoch_events != config.epoch_events
-            || cp.config.window_epochs != config.window_epochs
-            || cp.config.max_templates != config.max_templates
-        {
-            return Err(format!(
-                "checkpoint aggregation config (epoch_events={}, window_epochs={}, \
-                 max_templates={}) does not match the requested configuration",
-                cp.config.epoch_events, cp.config.window_epochs, cp.config.max_templates
-            ));
-        }
-        let (tuner, window) = cp.restore(&schema)?;
-        let arbiter = Arc::new(Arbiter::new(
-            global_budget(&schema, config.budget_share),
-            config.tenant_weights.clone(),
-        ));
-        // Re-seat the restored publication so interactive queries are
-        // answerable before the first post-restore epoch seals.
-        if let Some(pf) = tuner.published() {
-            arbiter.publish(0, Arc::clone(pf), Trace::disabled());
-        }
-        let feedback = match &cp.feedback {
-            Some(saved) => GroupFeedback::load(saved, &config)?,
-            None => GroupFeedback::new(&config),
-        };
-        Ok(Self {
-            schema,
-            config,
-            tuner,
-            window,
-            arbiter,
-            feedback,
-            base_ingested: cp.ingested,
-            base_invalid: cp.invalid,
-            base_dropped: cp.dropped,
-        })
-    }
-
-    /// Epochs tuned over the daemon's lifetime.
-    pub fn epoch(&self) -> u64 {
-        self.tuner.epoch()
-    }
-
-    /// Selection currently in force.
-    pub fn selection(&self) -> &Selection {
-        self.tuner.selection()
-    }
-
-    /// The live frontier arbiter: maintained allocations and
-    /// interactive `whatif` answers over the daemon's single part.
-    pub fn arbiter(&self) -> &Arbiter {
-        &self.arbiter
-    }
-
-    /// Canonical calibration snapshot line — byte-identical to the
-    /// in-band `{"control":"calibration"}` answer at this point in the
-    /// stream.
-    pub fn calibration(&self) -> String {
-        self.feedback.snapshot().render()
-    }
-
-    fn parallelism(&self) -> Parallelism {
-        match self.config.threads {
-            0 => Parallelism::available(),
-            n => Parallelism::new(n),
-        }
-    }
-
-    /// Run the daemon over a line-based input until EOF or a `shutdown`
-    /// control, then drain, write a final checkpoint (if `checkpoint` is
-    /// set) and report.
-    pub fn run_reader<R: BufRead + Send>(
-        &mut self,
-        input: R,
-        policy: OverloadPolicy,
-        checkpoint: Option<&Path>,
-        trace: Trace<'_>,
-    ) -> Result<ServiceReport, String> {
-        let queue = BoundedQueue::new(self.config.queue_capacity);
-        let board = self.status_board();
-        let schema = self.schema.clone();
-        let base_dropped = self.base_dropped;
-        let arbiter = Arc::clone(&self.arbiter);
-        let (outcomes, checkpoints_written) = std::thread::scope(|s| {
-            s.spawn(|| ingest_lines(input, &schema, &queue, policy, &board, base_dropped, &arbiter));
-            self.consume(&queue, &board, checkpoint, trace)
-        })?;
-        Ok(self.report(outcomes, &queue, &board, checkpoints_written))
-    }
-
-    /// A fresh [`StatusBoard`] seeded with the daemon's lifetime
-    /// counters, so status lines and checkpoints report totals across
-    /// restarts.
-    pub(crate) fn status_board(&self) -> StatusBoard {
-        let board = StatusBoard::new(0);
-        board.ingested.store(self.base_ingested, Ordering::Relaxed);
-        board.invalid.store(self.base_invalid, Ordering::Relaxed);
-        board
-    }
-
-    /// Events dropped in previous runs (restored from a checkpoint).
-    pub(crate) fn base_dropped(&self) -> u64 {
-        self.base_dropped
-    }
-
-    /// A shared handle to the daemon's arbiter (for socket connection
-    /// handlers that outlive a `&self` borrow).
-    pub(crate) fn arbiter_handle(&self) -> Arc<Arbiter> {
-        Arc::clone(&self.arbiter)
-    }
-
-    /// Pop until the queue closes and drains; tune every epoch that
-    /// seals; honor checkpoint items; write the final checkpoint.
-    pub(crate) fn consume(
-        &mut self,
-        queue: &BoundedQueue<WorkItem>,
-        board: &StatusBoard,
-        checkpoint: Option<&Path>,
-        trace: Trace<'_>,
-    ) -> Result<(Vec<EpochOutcome>, u64), String> {
-        let par = self.parallelism();
-        let every = self.config.checkpoint_every_epochs;
-        let mut outcomes = Vec::new();
-        let mut written = 0u64;
-        while let Some(item) = queue.pop() {
-            if take_status_signal() {
-                eprintln!(
-                    "{}",
-                    board.line(
-                        self.base_dropped + queue.dropped(),
-                        &[queue.len() as u64],
-                        &self.arbiter.allocations(),
-                    )
-                );
-            }
-            match item {
-                WorkItem::Query(q) => {
-                    if self.window.push(&q) {
-                        let snap = self
-                            .window
-                            .snapshot()
-                            .expect("snapshot exists after an epoch seals");
-                        outcomes.push(feedback::tune_group(
-                            &mut self.tuner,
-                            &mut self.window,
-                            &mut self.feedback,
-                            &snap,
-                            &self.schema,
-                            &self.config,
-                            par,
-                            trace,
-                            Some(&board.cal),
-                        ));
-                        board.epochs.fetch_add(1, Ordering::Relaxed);
-                        if self.tuner.take_published_dirty() {
-                            if let Some(pf) = self.tuner.published() {
-                                self.arbiter.publish(0, Arc::clone(pf), trace);
-                            }
-                        }
-                        if every > 0 && self.tuner.epoch().is_multiple_of(every) {
-                            if let Some(path) = checkpoint {
-                                self.write_checkpoint(path, queue, board)?;
-                                written += 1;
-                                board.checkpoints.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-                WorkItem::Observed(o) => {
-                    self.feedback.observe(&self.config, &o, Some(&board.cal), trace);
-                }
-                WorkItem::Checkpoint => {
-                    if let Some(path) = checkpoint {
-                        self.write_checkpoint(path, queue, board)?;
-                        written += 1;
-                        board.checkpoints.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                WorkItem::Interactive(pq) => {
-                    if pq.arrive() {
-                        let answer = match pq.control() {
-                            // One unsharded group: per-tenant splits only
-                            // exist under the sharded router.
-                            Control::Tenant { .. } => Some(
-                                "{\"error\":\"tenant queries require --shards\"}".to_owned(),
-                            ),
-                            Control::Calibration => {
-                                Some(self.feedback.snapshot().render())
-                            }
-                            c => self.arbiter.answer(c),
-                        };
-                        if let Some(line) = answer {
-                            pq.respond(line);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(path) = checkpoint {
-            self.write_checkpoint(path, queue, board)?;
-            written += 1;
-            board.checkpoints.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok((outcomes, written))
-    }
-
-    fn write_checkpoint(
-        &self,
-        path: &Path,
-        queue: &BoundedQueue<WorkItem>,
-        board: &StatusBoard,
-    ) -> Result<(), String> {
-        crate::fault::fire(crate::fault::DAEMON_CHECKPOINT, 0)?;
-        Checkpoint::capture(
-            &self.config,
-            &self.tuner,
-            &self.window,
-            board.ingested.load(Ordering::Relaxed),
-            board.invalid.load(Ordering::Relaxed),
-            self.base_dropped + queue.dropped(),
-        )
-        .with_feedback(
-            self.config
-                .calibration
-                .enabled
-                .then(|| self.feedback.save()),
-        )
-        .save(path)
-    }
-
-    pub(crate) fn report(
-        &self,
-        epochs: Vec<EpochOutcome>,
-        queue: &BoundedQueue<WorkItem>,
-        board: &StatusBoard,
-        checkpoints_written: u64,
-    ) -> ServiceReport {
-        ServiceReport {
-            epochs,
-            ingested: board.ingested.load(Ordering::Relaxed),
-            invalid: board.invalid.load(Ordering::Relaxed),
-            dropped: self.base_dropped + queue.dropped(),
-            queue_high_water: queue.high_water(),
-            checkpoints_written,
-            final_selection: self.tuner.selection().clone(),
-        }
-    }
-
-    pub(crate) fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    pub(crate) fn config(&self) -> &ServiceConfig {
-        &self.config
-    }
-}
-
-/// Closes the queue when dropped — so the consumer is released even if
-/// the reader thread unwinds mid-stream (a panicking reader must never
-/// leave the consumer blocked on a queue nobody will close).
-struct CloseOnExit<'a>(&'a BoundedQueue<WorkItem>);
-
-impl Drop for CloseOnExit<'_> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
-}
-
-/// Reader loop: decode records (JSONL lines or binary frames, detected
-/// per record), validate, push. Returns when the input ends or a
-/// `shutdown` control arrives; always closes the queue on the way out —
-/// including by panic — so the consumer can drain and finish.
-pub(crate) fn ingest_lines<R: BufRead>(
-    input: R,
-    schema: &Schema,
-    queue: &BoundedQueue<WorkItem>,
-    policy: OverloadPolicy,
-    board: &StatusBoard,
-    base_dropped: u64,
-    arbiter: &Arbiter,
-) {
-    let _close = CloseOnExit(queue);
-    let mut dict = DecodeDict::new();
-    let status_line =
-        || board.line(base_dropped + queue.dropped(), &[queue.len() as u64], &arbiter.allocations());
-    for record in RecordIter::new(input) {
-        if take_status_signal() {
-            eprintln!("{}", status_line());
-        }
-        let verdict = match record {
-            Record::Line(line) => ingest_one(&line, schema, queue, policy, board),
-            Record::Item(item) => ingest_item(&item, &mut dict, schema, queue, policy, board),
-            Record::Corrupt => {
-                board.invalid.fetch_add(1, Ordering::Relaxed);
-                Ingest::Continue
-            }
-        };
-        match verdict {
-            Ingest::Continue => {}
-            Ingest::Status => {
-                eprintln!("{}", status_line());
-            }
-            Ingest::Interactive(c) => {
-                // No reply channel on the reader path: the consumer
-                // prints the answer to stderr. Interactive items are
-                // never shed — a dropped question is a hung client.
-                let _ = queue.push_blocking(WorkItem::Interactive(PendingQuery::new(c, 1, None)));
-            }
-            Ingest::Shutdown => break,
-        }
-    }
-}
-
-/// Interpret one decoded binary item exactly as [`ingest_one`] would its
-/// JSONL rendering: defines extend the dictionary silently, events
-/// resolve (or count invalid), controls act, raw payloads go through the
-/// line parser, journal tags are transparent.
-pub(crate) fn ingest_item(
-    item: &WireItem,
-    dict: &mut DecodeDict,
-    schema: &Schema,
-    queue: &BoundedQueue<WorkItem>,
-    policy: OverloadPolicy,
-    board: &StatusBoard,
-) -> Ingest {
-    match item {
-        WireItem::Define { table, kind, attrs } => {
-            dict.define(schema, *table, *kind, attrs.clone());
-            Ingest::Continue
-        }
-        WireItem::Event { template, frequency } => match dict.resolve(*template, *frequency) {
-            Some(q) => {
-                board.ingested.fetch_add(1, Ordering::Relaxed);
-                let _ = match policy {
-                    OverloadPolicy::Block => queue.push_blocking(WorkItem::Query(q.into_owned())),
-                    OverloadPolicy::DropOldest => {
-                        queue.push_drop_oldest(WorkItem::Query(q.into_owned()))
-                    }
-                };
-                Ingest::Continue
-            }
-            None => {
-                board.invalid.fetch_add(1, Ordering::Relaxed);
-                Ingest::Continue
-            }
-        },
-        WireItem::Control(Control::Checkpoint) => {
-            let _ = match policy {
-                OverloadPolicy::Block => queue.push_blocking(WorkItem::Checkpoint),
-                OverloadPolicy::DropOldest => queue.push_drop_oldest(WorkItem::Checkpoint),
-            };
-            Ingest::Continue
-        }
-        WireItem::Control(Control::Status) => Ingest::Status,
-        WireItem::Control(Control::Shutdown) => Ingest::Shutdown,
-        WireItem::Control(
-            c @ (Control::Whatif { .. }
-            | Control::Tenant { .. }
-            | Control::Budget { .. }
-            | Control::Calibration),
-        ) => Ingest::Interactive(*c),
-        WireItem::Raw(bytes) => {
-            let line = String::from_utf8_lossy(bytes).into_owned();
-            ingest_one(&line, schema, queue, policy, board)
-        }
-        WireItem::Tagged { item, .. } => ingest_item(item, dict, schema, queue, policy, board),
-        // Supervisor messages never belong in an event stream.
-        WireItem::Sup(_) => {
-            board.invalid.fetch_add(1, Ordering::Relaxed);
-            Ingest::Continue
-        }
-    }
-}
-
-/// Parse and route one line; the verdict tells the caller whether to
-/// keep reading, stop, or render a status line.
-pub(crate) fn ingest_one(
-    line: &str,
-    schema: &Schema,
-    queue: &BoundedQueue<WorkItem>,
-    policy: OverloadPolicy,
-    board: &StatusBoard,
-) -> Ingest {
-    let trimmed = line.trim();
-    if trimmed.is_empty() {
-        return Ingest::Continue;
-    }
-    match parse_line(trimmed, schema) {
-        Ok(InputLine::Query(q)) => {
-            board.ingested.fetch_add(1, Ordering::Relaxed);
-            let _ = match policy {
-                OverloadPolicy::Block => queue.push_blocking(WorkItem::Query(q)),
-                OverloadPolicy::DropOldest => queue.push_drop_oldest(WorkItem::Query(q)),
-            };
-            Ingest::Continue
-        }
-        Ok(InputLine::Control(Control::Checkpoint)) => {
-            let _ = match policy {
-                OverloadPolicy::Block => queue.push_blocking(WorkItem::Checkpoint),
-                OverloadPolicy::DropOldest => queue.push_drop_oldest(WorkItem::Checkpoint),
-            };
-            Ingest::Continue
-        }
-        Ok(InputLine::Observed(o)) => {
-            let _ = match policy {
-                OverloadPolicy::Block => queue.push_blocking(WorkItem::Observed(o)),
-                OverloadPolicy::DropOldest => queue.push_drop_oldest(WorkItem::Observed(o)),
-            };
-            Ingest::Continue
-        }
-        Ok(InputLine::Control(Control::Status)) => Ingest::Status,
-        Ok(InputLine::Control(Control::Shutdown)) => Ingest::Shutdown,
-        Ok(InputLine::Control(
-            c @ (Control::Whatif { .. }
-            | Control::Tenant { .. }
-            | Control::Budget { .. }
-            | Control::Calibration),
-        )) => Ingest::Interactive(c),
-        Err(_) => {
-            board.invalid.fetch_add(1, Ordering::Relaxed);
-            Ingest::Continue
-        }
-    }
-}
-
-/// The epoch snapshots the window aggregator seals for a recorded log —
-/// the pure single-threaded reference for replay checks. Works on both
-/// encodings (and mixtures). Invalid records are skipped (as the daemon
-/// does), `shutdown` stops, `checkpoint` is a no-op.
-pub fn offline_snapshots<R: BufRead>(
-    input: R,
-    schema: &Schema,
-    config: &ServiceConfig,
-) -> Result<Vec<Workload>, String> {
-    config.validate()?;
-    let mut window = EpochWindow::new(
-        schema.clone(),
-        config.epoch_events,
-        config.window_epochs,
-        config.max_templates,
-    );
-    let mut dict = DecodeDict::new();
-    let mut out = Vec::new();
-    let push_line = |line: &str, window: &mut EpochWindow, out: &mut Vec<Workload>| -> bool {
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            return true;
-        }
-        match parse_line(trimmed, schema) {
-            Ok(InputLine::Query(q)) => {
-                if window.push(&q) {
-                    out.push(window.snapshot().expect("sealed window has a snapshot"));
-                }
-                true
-            }
-            Ok(InputLine::Control(Control::Shutdown)) => false,
-            // Observed-cost probes never shape the pure snapshot
-            // reference: with calibration disabled they are inert, and
-            // the daemon never folds them into epoch windows either.
-            Ok(InputLine::Observed(_)) | Ok(InputLine::Control(_)) | Err(_) => true,
-        }
-    };
-    for record in RecordIter::new(input) {
-        let keep_going = match record {
-            Record::Line(line) => push_line(&line, &mut window, &mut out),
-            Record::Corrupt => true,
-            Record::Item(item) => {
-                match flatten_item(&item, &mut dict, schema) {
-                    FlatItem::Query(q) => {
-                        if window.push(&q) {
-                            out.push(window.snapshot().expect("sealed window has a snapshot"));
-                        }
-                        true
-                    }
-                    FlatItem::RawLine(line) => push_line(&line, &mut window, &mut out),
-                    FlatItem::Control(Control::Shutdown) => false,
-                    FlatItem::Control(_) | FlatItem::Skip => true,
-                }
-            }
-        };
-        if !keep_going {
-            break;
-        }
-    }
-    Ok(out)
-}
-
-/// A [`WireItem`] reduced to the cases an offline replay cares about.
-pub(crate) enum FlatItem {
-    /// A resolved, schema-valid query.
-    Query(Query),
-    /// A raw payload to feed through the line parser.
-    RawLine(String),
-    /// A control command.
-    Control(Control),
-    /// Nothing to replay (a define, or an invalid event).
-    Skip,
-}
-
-/// Resolve one item against the dictionary, unwrapping journal tags.
-pub(crate) fn flatten_item(item: &WireItem, dict: &mut DecodeDict, schema: &Schema) -> FlatItem {
-    match item {
-        WireItem::Define { table, kind, attrs } => {
-            dict.define(schema, *table, *kind, attrs.clone());
-            FlatItem::Skip
-        }
-        WireItem::Event { template, frequency } => match dict.resolve(*template, *frequency) {
-            Some(q) => FlatItem::Query(q.into_owned()),
-            None => FlatItem::Skip,
-        },
-        WireItem::Control(c) => FlatItem::Control(*c),
-        WireItem::Raw(bytes) => FlatItem::RawLine(String::from_utf8_lossy(bytes).into_owned()),
-        WireItem::Tagged { item, .. } => flatten_item(item, dict, schema),
-        WireItem::Sup(_) => FlatItem::Skip,
-    }
-}
-
-/// Offline reference loop: `dynamic::adapt` over per-epoch snapshots,
-/// with the budget the tuner would compute. Returns the per-epoch
-/// selections the daemon must reproduce under
-/// [`crate::DriftThresholds::always_adapt`].
-pub fn offline_adapt(snapshots: &[Workload], config: &ServiceConfig) -> Vec<Selection> {
-    if snapshots.is_empty() {
-        return Vec::new();
-    }
-    let ests: Vec<CachingWhatIf<AnalyticalWhatIf<'_>>> = snapshots
-        .iter()
-        .map(|w| CachingWhatIf::new(AnalyticalWhatIf::new(w)))
-        .collect();
-    let refs: Vec<&dyn WhatIfOptimizer> = ests.iter().map(|e| e as &dyn WhatIfOptimizer).collect();
-    let a = budget::relative_budget(&refs[0], config.budget_share);
-    dynamic::adapt(&refs, a, config.transition)
-        .epochs
-        .into_iter()
-        .map(|e| e.selection)
-        .collect()
-}
+//! Regression tests for whole-schema mode (`shards == 0`): the suite of
+//! the retired unsharded daemon engine, run on the router's one
+//! whole-schema tuning group.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::config::DriftThresholds;
+    use crate::arbiter::InteractiveRegistry;
+    use crate::checkpoint::Manifest;
+    use crate::config::{DriftThresholds, ServiceConfig};
+    use crate::router::{offline_group_adapt, offline_group_snapshots, OverloadPolicy, Router};
     use isel_workload::synthetic::{self, SyntheticConfig};
+    use isel_workload::Workload;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::io::Cursor;
+    use std::sync::Arc;
 
     fn workload() -> Workload {
         synthetic::generate(&SyntheticConfig {
@@ -760,24 +74,21 @@ mod tests {
         let cfg = config();
         let log = sample_log(&w, 80, 5);
 
-        let mut daemon = Daemon::new(w.schema().clone(), cfg.clone()).unwrap();
-        let report = daemon
-            .run_reader(
-                Cursor::new(log.clone()),
-                OverloadPolicy::Block,
-                None,
-                Trace::disabled(),
-            )
+        let mut router = Router::new(w.schema().clone(), cfg.clone()).unwrap();
+        let report = router
+            .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
             .unwrap();
         assert_eq!(report.ingested, 80);
         assert_eq!(report.invalid, 0);
         assert_eq!(report.dropped, 0);
         assert_eq!(report.epochs.len(), 5, "80 events / 16 per epoch");
 
-        let snaps = offline_snapshots(Cursor::new(log), w.schema(), &cfg).unwrap();
-        assert_eq!(snaps.len(), 5);
-        let offline = offline_adapt(&snaps, &cfg);
-        for (got, want) in report.epochs.iter().zip(&offline) {
+        let snaps = offline_group_snapshots(Cursor::new(log), w.schema(), &cfg).unwrap();
+        assert_eq!(snaps.len(), 1, "one whole-schema group");
+        assert_eq!(snaps[&0].len(), 5);
+        let offline = &offline_group_adapt(&snaps, &cfg)[&0];
+        for (got, want) in report.epochs.iter().zip(offline) {
+            assert_eq!(got.table, None, "whole-schema epochs carry no table");
             assert_eq!(&got.selection, want);
         }
         assert_eq!(&report.final_selection, offline.last().unwrap());
@@ -786,25 +97,24 @@ mod tests {
     #[test]
     fn interactive_queries_are_answered_behind_preceding_events() {
         let w = workload();
-        let cfg = config();
-        let mut daemon = Daemon::new(w.schema().clone(), cfg.clone()).unwrap();
-        let queue = BoundedQueue::new(cfg.queue_capacity);
-        let board = daemon.status_board();
+        let mut router = Router::new(w.schema().clone(), config()).unwrap();
+        let registry = Arc::new(InteractiveRegistry::new());
+        router.set_interactive(Arc::clone(&registry));
         // 16 events seal one epoch, so the tuned frontier is published
         // before the barrier queries queued behind them are answered.
-        let log = sample_log(&w, 16, 7);
-        for line in log.lines() {
-            let _ = ingest_one(line, w.schema(), &queue, OverloadPolicy::Block, &board);
-        }
-        let budget = daemon.arbiter.budget();
+        let budget = router.arbiter().budget();
         let (tx, rx) = std::sync::mpsc::channel();
-        let pq = PendingQuery::new(Control::Whatif { budget }, 1, Some(tx));
-        let _ = queue.push_blocking(WorkItem::Interactive(pq));
+        let whatif = registry.register(tx);
         let (tx, tenant_rx) = std::sync::mpsc::channel();
-        let pq = PendingQuery::new(Control::Tenant { table: 0, budget }, 1, Some(tx));
-        let _ = queue.push_blocking(WorkItem::Interactive(pq));
-        queue.close();
-        daemon.consume(&queue, &board, None, Trace::disabled()).unwrap();
+        let tenant = registry.register(tx);
+        let mut log = sample_log(&w, 16, 7);
+        log.push_str(&format!(
+            "{{\"control\":\"whatif\",\"budget\":{budget},\"token\":{whatif}}}\n"
+        ));
+        log.push_str(&format!(
+            "{{\"control\":\"tenant\",\"table_group\":0,\"budget\":{budget},\"token\":{tenant}}}\n"
+        ));
+        router.run_reader(Cursor::new(log), OverloadPolicy::Block, None, &[]).unwrap();
 
         let reply = rx.recv().unwrap();
         let v: serde_json::Value = serde_json::from_str(&reply).unwrap();
@@ -814,29 +124,24 @@ mod tests {
         assert_eq!(
             v.get("allocations").and_then(|a| a.as_array()).map(Vec::len),
             Some(1),
-            "the unsharded daemon is one tenant"
+            "the whole-schema group is one tenant"
         );
         // The same question asked again is answered from maintained
         // state, byte-identically.
-        assert_eq!(reply, daemon.arbiter.whatif(budget));
+        assert_eq!(reply, router.arbiter().whatif(budget));
         assert!(
             tenant_rx.recv().unwrap().contains("tenant queries require --shards"),
-            "per-tenant splits need the sharded router"
+            "per-tenant splits need per-table groups"
         );
     }
 
     #[test]
     fn invalid_lines_are_counted_not_fatal() {
         let w = workload();
-        let mut daemon = Daemon::new(w.schema().clone(), config()).unwrap();
+        let mut router = Router::new(w.schema().clone(), config()).unwrap();
         let log = "garbage\n{\"table\":999,\"attrs\":[0]}\n\n";
-        let report = daemon
-            .run_reader(
-                Cursor::new(log.to_owned()),
-                OverloadPolicy::Block,
-                None,
-                Trace::disabled(),
-            )
+        let report = router
+            .run_reader(Cursor::new(log.to_owned()), OverloadPolicy::Block, None, &[])
             .unwrap();
         assert_eq!(report.invalid, 2);
         assert_eq!(report.ingested, 0);
@@ -850,36 +155,32 @@ mod tests {
         let attrs: Vec<String> = q.attrs().iter().map(|a| a.0.to_string()).collect();
         let event = format!("{{\"table\":{},\"attrs\":[{}]}}\n", q.table().0, attrs.join(","));
         let log = format!("{event}{}\n{event}", r#"{"control":"shutdown"}"#);
-        let mut daemon = Daemon::new(w.schema().clone(), config()).unwrap();
-        let report = daemon
-            .run_reader(Cursor::new(log), OverloadPolicy::Block, None, Trace::disabled())
-            .unwrap();
+        let mut router = Router::new(w.schema().clone(), config()).unwrap();
+        let report =
+            router.run_reader(Cursor::new(log), OverloadPolicy::Block, None, &[]).unwrap();
         assert_eq!(report.ingested, 1, "events after shutdown are not read");
     }
 
     #[test]
     fn checkpoint_control_writes_in_stream_order() {
         let w = workload();
-        let cfg = config();
-        let dir = std::env::temp_dir().join("isel-service-daemon-test");
+        let dir = std::env::temp_dir().join(format!("isel-whole-schema-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ctl.json");
         let mut log = sample_log(&w, 20, 9);
         log.push_str("{\"control\":\"checkpoint\"}\n");
-        let mut daemon = Daemon::new(w.schema().clone(), cfg).unwrap();
-        let report = daemon
-            .run_reader(
-                Cursor::new(log),
-                OverloadPolicy::Block,
-                Some(&path),
-                Trace::disabled(),
-            )
+        let mut router = Router::new(w.schema().clone(), config()).unwrap();
+        let report = router
+            .run_reader(Cursor::new(log), OverloadPolicy::Block, Some(&path), &[])
             .unwrap();
         // One from the control line, one final at shutdown.
         assert_eq!(report.checkpoints_written, 2);
-        let cp = Checkpoint::load(&path).unwrap();
-        assert_eq!(cp.ingested, 20);
-        assert_eq!(cp.epoch, 1, "16 of 20 events sealed one epoch");
-        std::fs::remove_file(&path).ok();
+        let shards = Manifest::load(&path).unwrap().load_shards(&path).unwrap();
+        assert_eq!(shards.len(), 1, "whole-schema mode writes one shard file");
+        assert_eq!(shards[0].ingested, 20);
+        assert_eq!(shards[0].groups.len(), 1);
+        assert!(shards[0].groups[0].is_whole_schema());
+        assert_eq!(shards[0].groups[0].epoch, 1, "16 of 20 events sealed one epoch");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -30,8 +30,9 @@ pub enum Control {
     Shutdown,
     /// Write a checkpoint now (ordered with the surrounding events).
     Checkpoint,
-    /// Emit the aggregated status line (out of band: never queued, so it
-    /// does not perturb replay determinism).
+    /// Emit the aggregated status line, once every event before it has
+    /// been consumed (it reads counters only, so it does not perturb
+    /// replay determinism).
     Status,
     /// Interactive query: what would every group be allocated at global
     /// budget `budget`? Answered from the maintained frontiers without

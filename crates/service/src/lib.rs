@@ -1,4 +1,4 @@
-//! Online continuous-tuning daemon (`isel-service`).
+//! Online continuous-tuning service (`isel-service`).
 //!
 //! The paper's evaluation is one-shot: a workload arrives, Algorithm 1
 //! selects, the experiment ends. This crate closes the loop for the
@@ -28,39 +28,42 @@
 //!    reconfiguration-aware re-selection (`core::reconfig` as in
 //!    `dynamic::adapt`), or a from-scratch run — always under the
 //!    relative memory budget of Eq. (10).
-//! 4. **State** ([`checkpoint`]) — the interned [`IndexPool`], current
-//!    selection, window contents and counters serialize to a JSON
-//!    checkpoint written atomically; a restarted daemon restores it and
-//!    continues **bit-identically** with an uninterrupted run.
-//! 5. **Control** ([`daemon`]) — EOF or a `{"control":"shutdown"}` line
-//!    drains the queue, tunes any sealed epochs, and writes a final
+//! 4. **State** ([`checkpoint`]) — each tuning group's interned
+//!    [`IndexPool`], selection, window contents and counters serialize
+//!    into per-shard JSON documents committed atomically through a
+//!    [`Manifest`]; a restarted service restores them and continues
+//!    **bit-identically** with an uninterrupted run.
+//! 5. **Control** ([`router`]) — EOF or a `{"control":"shutdown"}` line
+//!    drains the queues, tunes any sealed epochs, and commits a final
 //!    checkpoint; `{"control":"checkpoint"}` snapshots mid-stream in
 //!    event order. Runs emit the same [`isel_core::TraceEvent`] stream as
-//!    the offline strategies, so `isel report --check` works on daemon
+//!    the offline strategies, so `isel report --check` works on service
 //!    traces.
 //!
 //! **Determinism contract** (DESIGN.md §12): replaying a recorded log
-//! with drift thresholds forcing the adapt policy produces a selection
-//! sequence bit-identical to the offline `dynamic::adapt` loop over the
-//! same epoch snapshots, at every thread count.
+//! with drift thresholds forcing the adapt policy produces, per tuning
+//! group, a selection sequence bit-identical to the offline
+//! `dynamic::adapt` loop over the same epoch snapshots
+//! ([`offline_group_adapt`]), at every thread count.
 //!
-//! # Sharding
+//! # Engines and grouping
 //!
-//! For multi-table workloads the daemon scales out across worker threads
-//! ([`router`], [`shard`]): a [`Router`] classifies raw JSONL lines by
-//! table group with a byte-scanning fast path (binary events route by
-//! their template's table without any parse at all), fans them out over
-//! per-shard bounded queues, and each shard tunes its table groups
-//! independently — per-group windows, drift baselines and index pools.
-//! Because the unit of tuning state is always a single table group, the
-//! selection sequence is **bit-identical at every shard count**;
-//! sharding only changes which thread a group runs on. Per-shard
-//! checkpoints commit atomically through a [`Manifest`]
-//! (all-or-nothing across shards), and the final per-group selections
-//! are merged under the *global* memory budget with the MCKP frontier
-//! merge from `isel_core`. [`StatusBoard`]
-//! aggregates live counters across shards; `SIGUSR1` or a
-//! `{"control":"status"}` line renders them as one JSON status line.
+//! Two engines serve the same tuning groups: the in-process [`Router`]
+//! and the multi-process [`Supervisor`] (below). One socket front end
+//! ([`socket::run_socket`]) drives either. The router classifies raw
+//! JSONL lines with a byte-scanning fast path (binary events route by
+//! their template's table without any parse at all) and fans them out
+//! over per-shard bounded queues ([`router`], [`shard`]); each shard
+//! tunes its groups independently — per-group windows, drift baselines
+//! and index pools. `--shards N` (`N >= 1`) makes every table its own
+//! group, so the selection sequence is **bit-identical at every shard
+//! count** and the final per-group selections are merged under the
+//! *global* memory budget with the MCKP frontier merge from
+//! `isel_core`. `--shards 0` (the default) is a grouping policy, not a
+//! separate engine: every table feeds one whole-schema group on one
+//! shard thread, tuned over the full schema. [`StatusBoard`] aggregates
+//! live counters across shards; `SIGUSR1` or a `{"control":"status"}`
+//! line renders them as one JSON status line.
 //!
 //! # Frontier arbitration
 //!
@@ -98,7 +101,6 @@
 pub mod arbiter;
 pub mod checkpoint;
 pub mod config;
-pub mod daemon;
 pub mod event;
 pub mod fault;
 pub mod feedback;
@@ -119,10 +121,9 @@ pub use arbiter::{
     global_budget, Arbiter, InteractiveRegistry, PendingQuery, PublishedFrontier,
 };
 pub use checkpoint::{
-    shard_file, Checkpoint, GroupCheckpoint, Manifest, ShardCheckpoint, CHECKPOINT_VERSION,
+    shard_file, GroupCheckpoint, Manifest, ShardCheckpoint, CHECKPOINT_VERSION,
 };
 pub use config::{CalibrationConfig, DriftThresholds, ServiceConfig};
-pub use daemon::{offline_adapt, offline_snapshots, Daemon, OverloadPolicy, ServiceReport};
 pub use event::{parse_line, parse_token, Control, InputLine};
 pub use fault::{Schedule as FaultSchedule, ENV_SCHEDULE as ENV_FAULT_SCHEDULE};
 pub use feedback::{CalCounters, CalSnapshot, FeedbackCheckpoint, GroupFeedback, RatioTracker};
@@ -132,9 +133,15 @@ pub use mmap::MappedFile;
 pub use process::{run_worker, SupMsg, Supervisor, WorkerMsg};
 pub use records::{DecodeDict, Record, RecordIter};
 pub use queue::BoundedQueue;
-pub use router::{offline_group_adapt, offline_group_snapshots, Router};
+pub use router::{
+    offline_group_adapt, offline_group_snapshots, OverloadPolicy, Router, ServiceReport,
+};
 pub use shard::{classify_line, LineClass, ShardMap, ShardTagSink};
-pub use socket::{run_socket, run_socket_router, run_socket_supervisor};
+pub use socket::{run_socket, ChannelReader};
 pub use status::{install_status_signal, take_status_signal, PersistedStatus, StatusBoard};
 pub use tuner::{EpochOutcome, TunePolicy, Tuner};
 pub use window::EpochWindow;
+
+/// Whole-schema mode regression tests.
+#[cfg(test)]
+mod daemon;

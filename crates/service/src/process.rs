@@ -63,13 +63,12 @@ use crate::checkpoint::{
     shard_file, GroupCheckpoint, Manifest, ShardCheckpoint, CHECKPOINT_VERSION,
 };
 use crate::config::ServiceConfig;
-use crate::daemon::ServiceReport;
 use crate::event::{parse_line, parse_token, Control, InputLine};
 use crate::fault;
 use crate::feedback::{self, CalSnapshot};
 use crate::frame::{put_frame, put_item, render_query, WireItem, MAX_PAYLOAD};
 use crate::records::{Record, RecordIter};
-use crate::router::{Committer, GroupState};
+use crate::router::{Committer, GroupState, ServiceReport};
 use crate::shard::{classify_line, LineClass, ShardMap};
 use crate::status::{take_child_signal, take_status_signal, StatusBoard};
 use crate::tuner::EpochOutcome;
@@ -975,16 +974,7 @@ impl Supervisor {
             ));
         }
         for cp in manifest.load_shards(manifest_path)? {
-            if cp.config.epoch_events != sup.config.epoch_events
-                || cp.config.window_epochs != sup.config.window_epochs
-                || cp.config.max_templates != sup.config.max_templates
-            {
-                return Err(format!(
-                    "checkpoint aggregation config (epoch_events={}, window_epochs={}, \
-                     max_templates={}) does not match the requested configuration",
-                    cp.config.epoch_events, cp.config.window_epochs, cp.config.max_templates
-                ));
-            }
+            cp.check_resumable(&sup.config)?;
         }
         sup.routed_lines = manifest.routed_lines;
         sup.next_generation = manifest.generation + 1;
@@ -1045,8 +1035,19 @@ impl Supervisor {
         self.config.workers
     }
 
-    pub(crate) fn schema(&self) -> &Schema {
+    /// The schema events are validated against.
+    pub fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    /// A fresh [`StatusBoard`] for one run, seeded from the state
+    /// directory's `status.json` sidecar when one is set.
+    pub fn status_board(&self) -> StatusBoard {
+        let board = StatusBoard::new(self.map.shards());
+        if let Some(dir) = &self.state_dir {
+            crate::status::PersistedStatus::load(&dir.join("status.json")).apply(&board);
+        }
+        board
     }
 
     /// Run the supervisor over a line-based input until EOF or a
@@ -1071,17 +1072,27 @@ impl Supervisor {
         checkpoint: Option<&Path>,
         sink: Option<&dyn TraceSink>,
     ) -> Result<ServiceReport, String> {
+        let board = self.status_board();
+        self.run_with_board(&board, input, checkpoint, sink)
+    }
+
+    /// [`Self::run_reader`] counting into a caller-held `board` (from
+    /// [`Self::status_board`]) — the socket front end shares it with its
+    /// connection handlers, which count lost replies there.
+    pub fn run_with_board<R: BufRead>(
+        &mut self,
+        board: &StatusBoard,
+        input: R,
+        checkpoint: Option<&Path>,
+        sink: Option<&dyn TraceSink>,
+    ) -> Result<ServiceReport, String> {
         let t_start = Instant::now();
         let shards = self.map.shards();
         let workers = self.config.workers as usize;
-        let board = StatusBoard::new(shards);
         let status_path = self.state_dir.as_ref().map(|d| d.join("status.json"));
         let outcomes_path = self.state_dir.as_ref().map(|d| d.join("outcomes.json"));
-        if let Some(p) = &status_path {
-            crate::status::PersistedStatus::load(p).apply(&board);
-        }
         let committer =
-            checkpoint.map(|p| Committer::new(p, shards, &board));
+            checkpoint.map(|p| Committer::new(p, shards, board));
         // Epoch outcomes folded into committed generations by prior
         // incarnations replay without re-tuning, so their report lines
         // come from the sidecar, not from the workers.
@@ -1104,7 +1115,7 @@ impl Supervisor {
             pending: Mutex::new(HashMap::new()),
             tails: Mutex::new((0..shards).map(|k| (k, VecDeque::new())).collect()),
             failure: Mutex::new(None),
-            board: &board,
+            board,
             committer: committer.as_ref(),
             arbiter: &self.arbiter,
             sink,

@@ -1,25 +1,36 @@
-//! The sharded tuning router: one ingest loop fanning raw lines out to
-//! per-shard workers, each tuning its own table groups.
+//! The tuning router: one ingest loop fanning raw lines out to
+//! per-shard workers, each tuning its own groups.
 //!
 //! ## Architecture
 //!
-//! The **unit of tuning state is the table group** — one [`EpochWindow`]
-//! plus one table-scoped [`Tuner`] per table, sealing epochs on the
-//! group's *own* valid-event count and budgeting with the
-//! table-separable split of Eq. (10)
-//! ([`isel_core::budget::table_relative_budget`]). Shards merely pack
-//! groups onto worker threads via the [`ShardMap`]; because no tuning
-//! state spans shards, the selection sequence is **bit-identical at
-//! every shard count** by construction — the router's headline
-//! determinism guarantee, pinned by `tests/service.rs`.
+//! The **unit of tuning state is the tuning group** — one
+//! [`EpochWindow`] plus one [`Tuner`], sealing epochs on the group's
+//! *own* valid-event count. The grouping policy follows
+//! [`ServiceConfig::shards`] ([`ServiceConfig::whole_schema`]):
+//!
+//! * `shards >= 1` — every table is its own group, budgeted with the
+//!   table-separable split of Eq. (10)
+//!   ([`isel_core::budget::table_relative_budget`]). Shards merely pack
+//!   groups onto worker threads via the [`ShardMap`]; because no tuning
+//!   state spans shards, the selection sequence is **bit-identical at
+//!   every shard count** by construction — the router's headline
+//!   determinism guarantee, pinned by `tests/service.rs`.
+//! * `shards == 0` — every table feeds one whole-schema group on one
+//!   shard thread, budgeted over the full schema
+//!   ([`isel_core::budget::relative_budget`]) and published to the
+//!   arbiter as part `0`. Its selection is deployed directly: the
+//!   calibration gate stays idle and `tenant` queries are answered with
+//!   an error, since there is no per-table split.
 //!
 //! The router thread owns the input: it classifies each raw line with
 //! the cheap byte-scan [`classify_line`] (no JSON parse) and pushes it
 //! onto the owning shard's bounded queue; workers do the full
 //! parse/validate/aggregate/tune work. Control lines are parsed by the
 //! router itself: `shutdown` stops ingestion, `checkpoint` injects a
-//! barrier into *every* queue at the same stream position, `status`
-//! prints the [`StatusBoard`] line (out of band — never queued).
+//! barrier into *every* queue at the same stream position, and `status`
+//! rides the queues like the interactive queries below, so the
+//! [`StatusBoard`] line it prints counts exactly the events before it
+//! (`SIGUSR1` prints the line out of band, at once).
 //!
 //! ## Checkpointing
 //!
@@ -32,7 +43,9 @@
 //! previous complete generation or the new one — never a mix. Group
 //! state is placement-independent, so a manifest may be resumed at a
 //! **different** shard count ([`Router::resume`] re-packs groups under
-//! the current map).
+//! the current map), though not under the other grouping policy.
+//! Periodic barriers fall every `checkpoint_every_epochs ×
+//! epoch_events` routed lines, invalid lines included.
 //!
 //! ## Arbitration
 //!
@@ -60,12 +73,11 @@ use crate::checkpoint::{
     shard_file, GroupCheckpoint, Manifest, ShardCheckpoint, CHECKPOINT_VERSION,
 };
 use crate::config::ServiceConfig;
-use crate::daemon::{flatten_item, FlatItem, OverloadPolicy, ServiceReport};
 use crate::event::{parse_line, parse_token, Control, InputLine};
-use crate::feedback::{self, GroupFeedback};
+use crate::feedback::{self, CalSnapshot, GroupFeedback};
 use crate::frame::WireItem;
 use crate::queue::BoundedQueue;
-use crate::records::{validate_define, DecodeDict, Record, RecordIter};
+use crate::records::{interpret, validate_define, DecodeDict, DecodedEvent, Record, RecordIter};
 use crate::shard::{classify_line, LineClass, ShardMap, ShardTagSink};
 use crate::status::{take_status_signal, StatusBoard};
 use crate::tuner::{EpochOutcome, Tuner};
@@ -78,6 +90,37 @@ use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
+
+/// What happens when the ingestion queue is full.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum OverloadPolicy {
+    /// Producer waits — lossless; required for deterministic replay.
+    Block,
+    /// Oldest queued event is evicted (counted) — live serving.
+    DropOldest,
+}
+
+/// Summary of one service run.
+#[derive(Clone, Debug)]
+pub struct ServiceReport {
+    /// Outcome of every epoch tuned during this run, ordered by
+    /// (table group, epoch).
+    pub epochs: Vec<EpochOutcome>,
+    /// Valid query events ingested (lifetime total, including epochs
+    /// restored from a checkpoint). Under drop-oldest overload, evicted
+    /// events never count: this is what the workers consumed.
+    pub ingested: u64,
+    /// Invalid input lines skipped (lifetime total).
+    pub invalid: u64,
+    /// Events dropped under overload (lifetime total).
+    pub dropped: u64,
+    /// Highest queue fill level observed this run.
+    pub queue_high_water: u64,
+    /// Checkpoint generations committed this run.
+    pub checkpoints_written: u64,
+    /// Selection in force at shutdown.
+    pub final_selection: Selection,
+}
 
 /// Items flowing through one shard's queue.
 enum ShardItem {
@@ -106,7 +149,7 @@ enum ShardItem {
     Query(Arc<PendingQuery>),
 }
 
-/// One table group's live tuning state. Shared with the multi-process
+/// One tuning group's live state. Shared with the multi-process
 /// supervisor's worker loop ([`crate::process`]), which hosts groups in
 /// child processes exactly as a shard thread does here.
 pub(crate) struct GroupState {
@@ -116,9 +159,16 @@ pub(crate) struct GroupState {
 }
 
 impl GroupState {
+    /// A fresh group for `table`'s events: table-scoped, or the
+    /// whole-schema group when `config` says so.
     pub(crate) fn fresh(schema: &Schema, config: &ServiceConfig, table: TableId) -> Self {
+        let tuner = if config.whole_schema() {
+            Tuner::new(schema, config.clone())
+        } else {
+            Tuner::for_table(schema, config.clone(), table)
+        };
         Self {
-            tuner: Tuner::for_table(schema, config.clone(), table),
+            tuner,
             window: EpochWindow::new(
                 schema.clone(),
                 config.epoch_events,
@@ -325,6 +375,9 @@ struct WorkerCtx<'a> {
     base_dropped: u64,
     sink: Option<&'a dyn TraceSink>,
     arbiter: &'a Arbiter,
+    /// Renders the run's status line (counters, queue depths,
+    /// allocations).
+    status_line: &'a (dyn Fn() -> String + Sync),
 }
 
 /// What one worker hands back when its queue drains.
@@ -335,8 +388,9 @@ struct WorkerOut {
     invalid: u64,
 }
 
-/// The sharded tuning service: a [`ShardMap`] over per-table groups,
-/// driven by [`Router::run_reader`].
+/// The in-process tuning service: a [`ShardMap`] over tuning groups,
+/// driven by [`Router::run_reader`] or, behind a socket, by
+/// [`crate::socket::run_socket`].
 pub struct Router {
     schema: Schema,
     config: ServiceConfig,
@@ -352,17 +406,19 @@ pub struct Router {
 }
 
 impl Router {
-    /// Fresh router with no tuned state. Requires `config.shards >= 1`.
+    /// Fresh router with no tuned state. `config.shards == 0` hosts the
+    /// whole-schema group on one shard thread.
     ///
     /// # Errors
     ///
     /// Returns the first configuration problem, if any.
     pub fn new(schema: Schema, config: ServiceConfig) -> Result<Self, String> {
         config.validate()?;
-        if config.shards == 0 {
-            return Err("the router requires shards >= 1 (0 selects the unsharded daemon)".into());
-        }
-        let map = ShardMap::new(config.shards, config.shard_map.clone(), schema.tables().len())?;
+        let map = ShardMap::new(
+            config.shards.max(1),
+            config.shard_map.clone(),
+            schema.tables().len(),
+        )?;
         let arbiter = Arbiter::new(
             global_budget(&schema, config.budget_share),
             config.tenant_weights.clone(),
@@ -382,9 +438,11 @@ impl Router {
         })
     }
 
-    /// Resume from a sharded checkpoint manifest. The manifest may have
+    /// Resume from a checkpoint manifest. A per-table manifest may have
     /// been written at a different shard count — groups are re-packed
-    /// under the current [`ShardMap`] (placement never affects results).
+    /// under the current [`ShardMap`] (placement never affects results);
+    /// the grouping policy must match
+    /// ([`ShardCheckpoint::check_resumable`]).
     pub fn resume(
         schema: Schema,
         config: ServiceConfig,
@@ -394,30 +452,21 @@ impl Router {
         let manifest = Manifest::load(manifest_path)?;
         let shards = manifest.load_shards(manifest_path)?;
         for cp in &shards {
-            if cp.config.epoch_events != router.config.epoch_events
-                || cp.config.window_epochs != router.config.window_epochs
-                || cp.config.max_templates != router.config.max_templates
-            {
-                return Err(format!(
-                    "checkpoint aggregation config (epoch_events={}, window_epochs={}, \
-                     max_templates={}) does not match the requested configuration",
-                    cp.config.epoch_events, cp.config.window_epochs, cp.config.max_templates
-                ));
-            }
+            cp.check_resumable(&router.config)?;
             router.base_ingested += cp.ingested;
             router.base_invalid += cp.invalid;
             router.base_dropped += cp.dropped;
             for gc in &cp.groups {
-                if router.groups.contains_key(&gc.table) {
+                let key = router.config.group_of(gc.table);
+                if router.groups.contains_key(&key) {
                     return Err(format!(
                         "table t{} appears in more than one shard checkpoint",
                         gc.table
                     ));
                 }
-                router.groups.insert(
-                    gc.table,
-                    GroupState::from_checkpoint(gc, &router.schema, &router.config)?,
-                );
+                router
+                    .groups
+                    .insert(key, GroupState::from_checkpoint(gc, &router.schema, &router.config)?);
             }
         }
         router.routed_lines = manifest.routed_lines;
@@ -446,16 +495,18 @@ impl Router {
         self.interactive = Some(registry);
     }
 
-    /// Number of shards the router fans out to.
+    /// Number of shard threads the router fans out to (1 in
+    /// whole-schema mode).
     pub fn shards(&self) -> u32 {
         self.map.shards()
     }
 
-    pub(crate) fn schema(&self) -> &Schema {
+    /// The schema events are validated against.
+    pub fn schema(&self) -> &Schema {
         &self.schema
     }
 
-    /// Number of table groups holding state.
+    /// Number of tuning groups holding state.
     pub fn group_count(&self) -> usize {
         self.groups.len()
     }
@@ -469,11 +520,42 @@ impl Router {
     /// group — byte-identical to the in-band `{"control":"calibration"}`
     /// answer at this point in the stream.
     pub fn calibration(&self) -> String {
-        let mut sum = crate::feedback::CalSnapshot::default();
+        self.calibration_totals().render()
+    }
+
+    /// Lifetime calibration counters summed over every group.
+    fn calibration_totals(&self) -> CalSnapshot {
+        let mut sum = CalSnapshot::default();
         for g in self.groups.values() {
             sum.add(&g.feedback.snapshot());
         }
-        sum.render()
+        sum
+    }
+
+    /// A fresh [`StatusBoard`] for one run, seeded with the lifetime
+    /// counters restored from a checkpoint — so status lines and the
+    /// in-band `calibration` answer report totals across restarts.
+    pub fn status_board(&self) -> StatusBoard {
+        let board = StatusBoard::new(self.config.shards);
+        board.ingested.store(self.base_ingested, Ordering::Relaxed);
+        board.invalid.store(self.base_invalid, Ordering::Relaxed);
+        board.cal.store(&self.calibration_totals());
+        board
+    }
+
+    /// Selection in force: the arbiter's maintained merge of every
+    /// group's frontier under the global budget (a cheap read — no group
+    /// is re-run), or the whole-schema group's own selection, which is
+    /// deployed directly.
+    pub fn final_selection(&self) -> Selection {
+        if self.config.whole_schema() {
+            return self
+                .groups
+                .values()
+                .next()
+                .map_or_else(Selection::empty, |g| g.tuner.selection().clone());
+        }
+        self.arbiter.merged_selection()
     }
 
     fn parallelism(&self) -> Parallelism {
@@ -499,6 +581,21 @@ impl Router {
         checkpoint: Option<&Path>,
         sinks: &[&dyn TraceSink],
     ) -> Result<ServiceReport, String> {
+        let board = self.status_board();
+        self.run_with_board(&board, input, policy, checkpoint, sinks)
+    }
+
+    /// [`Self::run_reader`] counting into a caller-held `board` (from
+    /// [`Self::status_board`]) — the socket front end shares it with its
+    /// connection handlers, which count lost replies there.
+    pub fn run_with_board<R: BufRead + Send>(
+        &mut self,
+        board: &StatusBoard,
+        input: R,
+        policy: OverloadPolicy,
+        checkpoint: Option<&Path>,
+        sinks: &[&dyn TraceSink],
+    ) -> Result<ServiceReport, String> {
         let shards = self.map.shards() as usize;
         if !sinks.is_empty() && sinks.len() != shards {
             return Err(format!(
@@ -506,13 +603,10 @@ impl Router {
                 sinks.len()
             ));
         }
-        let board = StatusBoard::new(self.map.shards());
-        board.ingested.store(self.base_ingested, Ordering::Relaxed);
-        board.invalid.store(self.base_invalid, Ordering::Relaxed);
         let queues: Vec<BoundedQueue<ShardItem>> = (0..shards)
             .map(|_| BoundedQueue::new(self.config.queue_capacity))
             .collect();
-        let committer = checkpoint.map(|p| Committer::new(p, self.map.shards(), &board));
+        let committer = checkpoint.map(|p| Committer::new(p, self.map.shards(), board));
 
         // Pack the groups onto shards under the current map.
         let mut per_shard: Vec<BTreeMap<u16, GroupState>> =
@@ -532,20 +626,24 @@ impl Router {
         let base_dropped = self.base_dropped;
         let interactive = self.interactive.clone();
 
+        let arbiter = &self.arbiter;
+        let status_line = || {
+            board.line(
+                base_dropped + queues.iter().map(BoundedQueue::dropped).sum::<u64>(),
+                &queues.iter().map(|q| q.len() as u64).collect::<Vec<_>>(),
+                &arbiter.allocations(),
+            )
+        };
+
         let result: Result<(Vec<WorkerOut>, u64, u64), String> = std::thread::scope(|s| {
             let queues_ref = &queues;
-            let board_ref = &board;
             let map_ref = &self.map;
             let schema_ref = &self.schema;
             let config_ref = &self.config;
             let committer_ref = committer.as_ref();
-            let arbiter_ref = &self.arbiter;
+            let status_ref = &status_line;
 
             let router_thread = s.spawn(move || {
-                let status = |line: &str| eprintln!("{line}");
-                let dropped = || {
-                    base_dropped + queues_ref.iter().map(BoundedQueue::dropped).sum::<u64>()
-                };
                 let push = |shard: u32, item: ShardItem| match policy {
                     OverloadPolicy::Block => {
                         queues_ref[shard as usize].push_blocking(item);
@@ -566,9 +664,6 @@ impl Router {
                         }
                     }
                 };
-                let depths = || -> Vec<u64> {
-                    queues_ref.iter().map(|q| q.len() as u64).collect()
-                };
                 // Interactive queries barrier every queue so the answer
                 // reflects exactly the events preceding the query. They
                 // never count as routed lines: barrier cadence stays
@@ -585,7 +680,7 @@ impl Router {
                 let mut template_tables: Vec<u16> = Vec::new();
                 for record in RecordIter::new(input) {
                     if take_status_signal() {
-                        status(&board_ref.line(dropped(), &depths(), &arbiter_ref.allocations()));
+                        eprintln!("{}", status_ref());
                     }
                     // Journal conn/seq tags and raw-carried lines reduce
                     // to the plain record they wrap.
@@ -619,24 +714,9 @@ impl Router {
                                             next_gen += 1;
                                         }
                                     }
-                                    Ok(InputLine::Control(Control::Status)) => {
-                                        let line = board_ref.line(
-                                            dropped(),
-                                            &depths(),
-                                            &arbiter_ref.allocations(),
-                                        );
-                                        let reply = interactive.as_ref().and_then(|reg| {
-                                            parse_token(trimmed).and_then(|t| reg.take(t))
-                                        });
-                                        match reply {
-                                            Some(tx) => {
-                                                let _ = tx.send(line);
-                                            }
-                                            None => status(&line),
-                                        }
-                                    }
                                     Ok(InputLine::Control(
-                                        c @ (Control::Whatif { .. }
+                                        c @ (Control::Status
+                                        | Control::Whatif { .. }
                                         | Control::Tenant { .. }
                                         | Control::Budget { .. }
                                         | Control::Calibration),
@@ -698,11 +778,9 @@ impl Router {
                                 next_gen += 1;
                             }
                         }
-                        Record::Item(WireItem::Control(Control::Status)) => {
-                            status(&board_ref.line(dropped(), &depths(), &arbiter_ref.allocations()));
-                        }
                         Record::Item(WireItem::Control(
-                            c @ (Control::Whatif { .. }
+                            c @ (Control::Status
+                            | Control::Whatif { .. }
                             | Control::Tenant { .. }
                             | Control::Budget { .. }
                             | Control::Calibration),
@@ -748,14 +826,15 @@ impl Router {
                         schema: schema_ref,
                         config: config_ref,
                         par,
-                        board: board_ref,
+                        board,
                         committer: committer_ref,
                         checkpoint,
                         base_ingested: if k == 0 { self.base_ingested } else { 0 },
                         base_invalid: if k == 0 { self.base_invalid } else { 0 },
                         base_dropped: if k == 0 { base_dropped } else { 0 },
                         sink,
-                        arbiter: arbiter_ref,
+                        arbiter,
+                        status_line: status_ref,
                     };
                     s.spawn(move || shard_worker(ctx, groups, queue))
                 })
@@ -809,22 +888,12 @@ impl Router {
             dropped: base_dropped + queues.iter().map(BoundedQueue::dropped).sum::<u64>(),
             queue_high_water: queues.iter().map(BoundedQueue::high_water).max().unwrap_or(0),
             checkpoints_written: committer.as_ref().map_or(0, Committer::commits),
-            final_selection: self.merged_selection(),
+            final_selection: self.final_selection(),
         })
-    }
-
-    /// Union the per-group selections under the global memory budget — a
-    /// cheap read of the arbiter's maintained merge. No group is re-run:
-    /// each materializes its selection from its published construction
-    /// steps at its maintained allocation, and groups whose frontier
-    /// never changed since their last publication were never even
-    /// re-merged (the clean-group skip).
-    fn merged_selection(&self) -> Selection {
-        self.arbiter.merged_selection()
     }
 }
 
-/// One shard's consume loop: parse, aggregate per table group, tune on
+/// One shard's consume loop: parse, aggregate per tuning group, tune on
 /// sealed epochs, serialize shard checkpoints at barriers.
 fn shard_worker(
     ctx: WorkerCtx<'_>,
@@ -852,8 +921,9 @@ fn shard_worker(
         *ingested += 1;
         ctx.board.ingested.fetch_add(1, Ordering::Relaxed);
         let table = q.table();
+        let key = ctx.config.group_of(table.0);
         let group = groups
-            .entry(table.0)
+            .entry(key)
             .or_insert_with(|| GroupState::fresh(ctx.schema, ctx.config, table));
         if group.window.push(q) {
             let snap = group
@@ -879,7 +949,7 @@ fn shard_worker(
             // merge untouched.
             if group.tuner.take_published_dirty() {
                 if let Some(pf) = group.tuner.published() {
-                    ctx.arbiter.publish(table.0, Arc::clone(pf), trace);
+                    ctx.arbiter.publish(key, Arc::clone(pf), trace);
                 }
             }
         }
@@ -895,7 +965,7 @@ fn shard_worker(
                 Ok(InputLine::Observed(o)) => {
                     let table = o.query.table();
                     let group = groups
-                        .entry(table.0)
+                        .entry(ctx.config.group_of(table.0))
                         .or_insert_with(|| GroupState::fresh(ctx.schema, ctx.config, table));
                     group.feedback.observe(ctx.config, &o, Some(&ctx.board.cal), trace);
                 }
@@ -952,10 +1022,16 @@ fn shard_worker(
                 // answers from the arbiter's maintained state.
                 if pq.arrive() {
                     let answer = match pq.control() {
-                        // The board's calibration counters are summed
-                        // across shards as they bump; at the barrier
-                        // every shard has consumed the preceding events.
+                        // The board's calibration counters are lifetime
+                        // totals summed across shards as they bump; at
+                        // the barrier every shard has consumed the
+                        // preceding events.
                         Control::Calibration => Some(ctx.board.cal.snapshot().render()),
+                        Control::Status => Some((ctx.status_line)()),
+                        // One whole-schema group: no per-tenant split.
+                        Control::Tenant { .. } if ctx.config.whole_schema() => {
+                            Some("{\"error\":\"tenant queries require --shards\"}".to_owned())
+                        }
                         c => ctx.arbiter.answer(c),
                     };
                     if let Some(answer) = answer {
@@ -1001,11 +1077,13 @@ fn shard_worker(
     }
 }
 
-/// Per-table-group epoch snapshots of a recorded log — the pure
-/// single-threaded reference the sharded replay is checked against.
+/// Per-group epoch snapshots of a recorded log — the pure
+/// single-threaded reference the router's replay is checked against.
 /// Works on both encodings (and mixtures). Each valid event feeds its
-/// table's own window; invalid records are skipped, `shutdown` stops,
-/// other controls are no-ops.
+/// group's own window ([`ServiceConfig::group_of`]); invalid records
+/// are skipped, `shutdown` stops, other controls and observed-cost
+/// probes are no-ops (snapshots are a pure function of the query
+/// events).
 pub fn offline_group_snapshots<R: BufRead>(
     input: R,
     schema: &Schema,
@@ -1015,11 +1093,9 @@ pub fn offline_group_snapshots<R: BufRead>(
     let mut windows: BTreeMap<u16, EpochWindow> = BTreeMap::new();
     let mut out: BTreeMap<u16, Vec<Workload>> = BTreeMap::new();
     let mut dict = DecodeDict::new();
-    let feed = |q: &Query,
-                windows: &mut BTreeMap<u16, EpochWindow>,
-                out: &mut BTreeMap<u16, Vec<Workload>>| {
-        let t = q.table().0;
-        let window = windows.entry(t).or_insert_with(|| {
+    let mut feed = |q: &Query| {
+        let g = config.group_of(q.table().0);
+        let window = windows.entry(g).or_insert_with(|| {
             EpochWindow::new(
                 schema.clone(),
                 config.epoch_events,
@@ -1028,44 +1104,38 @@ pub fn offline_group_snapshots<R: BufRead>(
             )
         });
         if window.push(q) {
-            out.entry(t)
+            out.entry(g)
                 .or_default()
                 .push(window.snapshot().expect("sealed window has a snapshot"));
         }
     };
     for record in RecordIter::new(input) {
-        let flat = match record {
-            Record::Line(line) => FlatItem::RawLine(line),
-            Record::Item(item) => flatten_item(&item, &mut dict, schema),
-            Record::Corrupt => FlatItem::Skip,
-        };
-        match flat {
-            FlatItem::Query(q) => feed(&q, &mut windows, &mut out),
-            FlatItem::RawLine(line) => {
-                let trimmed = line.trim();
-                if trimmed.is_empty() {
+        let line = match record {
+            Record::Line(line) => line,
+            Record::Corrupt => continue,
+            Record::Item(item) => match interpret(&mut dict, schema, &item) {
+                Ok(Some(DecodedEvent::Query(q))) => {
+                    feed(&q);
                     continue;
                 }
-                match parse_line(trimmed, schema) {
-                    Ok(InputLine::Query(q)) => feed(&q, &mut windows, &mut out),
-                    Ok(InputLine::Control(Control::Shutdown)) => break,
-                    // Observed-cost probes never shape the snapshot
-                    // reference: snapshots are a pure function of the
-                    // query events.
-                    Ok(InputLine::Control(_) | InputLine::Observed(_)) | Err(_) => {}
-                }
-            }
-            FlatItem::Control(Control::Shutdown) => break,
-            FlatItem::Control(_) | FlatItem::Skip => {}
+                Ok(Some(DecodedEvent::RawLine(line))) => line,
+                Ok(Some(DecodedEvent::Control(Control::Shutdown))) => break,
+                Ok(_) | Err(_) => continue,
+            },
+        };
+        match parse_line(line.trim(), schema) {
+            Ok(InputLine::Query(q)) => feed(&q),
+            Ok(InputLine::Control(Control::Shutdown)) => break,
+            Ok(_) | Err(_) => {}
         }
     }
     Ok(out)
 }
 
-/// Offline reference loop for sharded replay: per table group,
-/// `dynamic::adapt` over the group's snapshots at the table's share of
-/// the budget — exactly what a group tuner computes under
-/// [`crate::DriftThresholds::always_adapt`].
+/// Offline reference loop: per group, `dynamic::adapt` over the group's
+/// snapshots at the budget its tuner computes — the table's share of
+/// Eq. (10), or the whole-schema budget — exactly what a group tuner
+/// selects under [`crate::DriftThresholds::always_adapt`].
 pub fn offline_group_adapt(
     snapshots: &BTreeMap<u16, Vec<Workload>>,
     config: &ServiceConfig,
@@ -1081,7 +1151,11 @@ pub fn offline_group_adapt(
                 .collect();
             let refs: Vec<&dyn WhatIfOptimizer> =
                 ests.iter().map(|e| e as &dyn WhatIfOptimizer).collect();
-            let a = budget::table_relative_budget(&ests[0], config.budget_share, TableId(t));
+            let a = if config.whole_schema() {
+                budget::relative_budget(&ests[0], config.budget_share)
+            } else {
+                budget::table_relative_budget(&ests[0], config.budget_share, TableId(t))
+            };
             let selections = isel_core::dynamic::adapt(&refs, a, config.transition)
                 .epochs
                 .into_iter()
@@ -1369,5 +1443,27 @@ mod tests {
             }
         }
         assert_eq!(arbiter.merges(), merges);
+    }
+
+    #[test]
+    fn resume_refuses_to_mix_grouping_policies() {
+        let w = workload();
+        let log = sample_log(&w, 48, 23);
+        let dir = std::env::temp_dir().join(format!("isel-router-policy-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (written, resumed, want) in [(0u32, 2u32, "whole-schema"), (2, 0, "per-table")] {
+            let manifest = dir.join(format!("cp-{written}.json"));
+            let mut router = Router::new(w.schema().clone(), config(written)).unwrap();
+            router
+                .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, Some(&manifest), &[])
+                .unwrap();
+            let err = Router::resume(w.schema().clone(), config(resumed), &manifest)
+                .err()
+                .expect("mixing grouping policies must be refused");
+            assert!(err.contains(want), "{err}");
+            // The same manifest resumes under its own policy.
+            assert!(Router::resume(w.schema().clone(), config(written), &manifest).is_ok());
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

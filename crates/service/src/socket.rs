@@ -1,12 +1,14 @@
-//! Unix-domain-socket ingestion for live serving.
+//! Unix-domain-socket front end for live serving.
 //!
 //! [`run_socket`] binds a socket, accepts any number of concurrent
-//! connections, and feeds every line through the same parse/validate
-//! path as the stdin reader — always with the drop-oldest overload
-//! policy (a live daemon must never stall its clients on backpressure;
-//! it sheds load and counts the shed). A `{"control":"shutdown"}` line
-//! on *any* connection stops the accept loop, closes the queue, and the
-//! daemon drains and checkpoints as usual.
+//! connections, and feeds their lines to one serving engine — the
+//! in-process [`crate::Router`] or the multi-process
+//! [`crate::Supervisor`] — as a single ordered input stream
+//! ([`ChannelReader`]). Engines serve a socket with the drop-oldest
+//! overload policy: a live service must never stall its clients on
+//! backpressure; it sheds load and counts the shed. A
+//! `{"control":"shutdown"}` line on *any* connection stops the accept
+//! loop, and the engine drains and checkpoints as usual.
 //!
 //! # Deterministic cross-client order
 //!
@@ -16,284 +18,48 @@
 //! lines a per-connection sequence number. When a journal path is
 //! given, every line is rewritten as
 //! `{"conn":C,"seq":S,...original fields...}` and appended to the
-//! journal *in the exact order the daemon consumed it* — the journal
-//! lock is held across both the journal write and the queue push, so
-//! journal order is queue order. Replaying the journal through
-//! [`crate::Daemon::run_reader`] (or the sharded
-//! [`crate::Router`](crate::router::Router)) reproduces the live run
-//! bit-for-bit: the event parser ignores the `conn`/`seq` fields, so
-//! the journal parses exactly like the original stream.
+//! journal *in the exact order the engine consumes it* — the journal
+//! lock is held across both the journal write and the channel send, so
+//! journal order is input order. Replaying the journal through
+//! [`crate::Router::run_reader`] reproduces the live run bit-for-bit:
+//! the event parser ignores the `conn`/`seq` fields, so the journal
+//! parses exactly like the original stream.
 //!
-//! A `{"control":"status"}` line is answered out of band: the daemon
-//! writes one JSON status line back on the same connection without
-//! queuing anything. Interactive `{"control":"whatif","budget":B}` and
-//! `{"control":"tenant","table_group":T,"budget":B}` lines are answered
-//! *in* band — queued as barrier items so the reply reflects exactly
-//! the events that preceded the query on the stream — from the live
-//! [`crate::Arbiter`], never by re-running selection.
+//! # Interactive replies
 //!
-//! [`run_socket_router`] is the sharded peer: connections feed one
-//! ordered line channel the [`Router`] consumes, with identical journal
-//! and reply semantics plus per-group `tenant` answers.
+//! `status`, `whatif`, `tenant`, `budget` and `calibration` lines are
+//! stamped with a reply-routing token ([`InteractiveRegistry`]) and
+//! answered on the issuing connection as one JSON line: `status` out of
+//! band, the others *in* band — as barrier items, so the reply reflects
+//! exactly the events that preceded the query on the stream — from the
+//! live [`crate::Arbiter`], never by re-running selection. A reply lost
+//! to a client that hung up is counted in the engine's
+//! [`StatusBoard::reply_errors`] and never ends the run.
 
-use crate::arbiter::{Arbiter, InteractiveRegistry, PendingQuery};
-use crate::daemon::{ingest_one, Daemon, Ingest, OverloadPolicy, ServiceReport, WorkItem};
+use crate::arbiter::InteractiveRegistry;
 use crate::event::{parse_line, Control, InputLine};
 use crate::frame::WireItem;
 use crate::journal::{render_item_line, JournalConfig, JournalWriter};
-use crate::process::Supervisor;
-use crate::queue::BoundedQueue;
 use crate::records::{DecodeDict, Record, RecordIter};
-use crate::router::Router;
-use crate::status::{take_status_signal, StatusBoard};
-use isel_core::{Trace, TraceSink};
+use crate::router::ServiceReport;
+use crate::status::StatusBoard;
 use isel_workload::Schema;
 use std::io::{BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Accept-loop poll interval while waiting for connections.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 
-/// Shared state handed to every connection handler.
-struct ConnCtx<'a> {
-    schema: &'a Schema,
-    queue: &'a BoundedQueue<WorkItem>,
-    stop: &'a AtomicBool,
-    board: &'a StatusBoard,
-    journal: Option<&'a Mutex<JournalWriter>>,
-    base_dropped: u64,
-    arbiter: &'a Arbiter,
-}
-
-/// Serve `daemon` on a Unix-domain socket at `path` until a `shutdown`
-/// control arrives, then drain, checkpoint and report. A stale socket
-/// file at `path` is replaced.
-///
-/// When `journal` is given, every accepted event is appended there
-/// tagged with its connection id and per-connection sequence number, in
-/// consumption order (see the module docs for the replay contract). The
-/// journal may be JSONL or binary and may rotate into segments — see
-/// [`JournalConfig`]; both encodings replay identically.
-///
-/// Clients may likewise send either encoding (even mixed on one
-/// connection): binary items are rendered back to their canonical line
-/// form and fed through the same ingest path, so journaling and replay
-/// semantics are identical no matter how an event arrived.
-///
-/// Connection handlers read until their peer disconnects, so the final
-/// drain completes once every client has hung up — clients should close
-/// their end after (or instead of) sending `shutdown`.
-pub fn run_socket(
-    daemon: &mut Daemon,
-    path: &Path,
-    checkpoint: Option<&Path>,
-    journal: Option<&JournalConfig>,
-    trace: Trace<'_>,
-) -> Result<ServiceReport, String> {
-    if path.exists() {
-        std::fs::remove_file(path).map_err(|e| format!("remove stale socket: {e}"))?;
-    }
-    let listener =
-        UnixListener::bind(path).map_err(|e| format!("bind {}: {e}", path.display()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
-
-    let journal = match journal {
-        Some(cfg) => Some(Mutex::new(JournalWriter::create(cfg.clone())?)),
-        None => None,
-    };
-    let queue = BoundedQueue::new(daemon.config().queue_capacity);
-    let board = daemon.status_board();
-    let stop = AtomicBool::new(false);
-    let schema = daemon.schema().clone();
-    let base_dropped = daemon.base_dropped();
-    let arbiter = daemon.arbiter_handle();
-    let ctx = ConnCtx {
-        schema: &schema,
-        queue: &queue,
-        stop: &stop,
-        board: &board,
-        journal: journal.as_ref(),
-        base_dropped,
-        arbiter: &arbiter,
-    };
-
-    let result = std::thread::scope(|s| {
-        let ctx_ref = &ctx;
-        s.spawn(move || {
-            let conn_ids = AtomicU64::new(0);
-            while !ctx_ref.stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let conn = conn_ids.fetch_add(1, Ordering::Relaxed) + 1;
-                        s.spawn(move || serve_connection(ctx_ref, stream, conn));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if take_status_signal() {
-                            eprintln!(
-                                "{}",
-                                ctx_ref.board.line(
-                                    ctx_ref.base_dropped + ctx_ref.queue.dropped(),
-                                    &[ctx_ref.queue.len() as u64],
-                                    &ctx_ref.arbiter.allocations(),
-                                )
-                            );
-                        }
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => break,
-                }
-            }
-            ctx_ref.queue.close();
-        });
-        daemon.consume(&queue, &board, checkpoint, trace)
-    });
-    if let Some(j) = journal {
-        let writer = match j.into_inner() {
-            Ok(w) => w,
-            Err(p) => p.into_inner(),
-        };
-        let errors = writer.finish();
-        if errors > 0 {
-            return Err(format!("journal write errors: {errors}"));
-        }
-    }
-    std::fs::remove_file(path).ok();
-    let (outcomes, written) = result?;
-    Ok(daemon.report(outcomes, &queue, &board, written))
-}
-
-/// Per-connection reader: ingest records with the drop-oldest policy
-/// until the peer disconnects or a shutdown control arrives. `conn` is
-/// the monotone connection id used for journal tagging.
-///
-/// Records may be JSONL lines or binary frames (auto-detected per record
-/// by the magic byte). Binary items are rendered to their canonical line
-/// form through a per-connection template dictionary, then flow through
-/// the exact same journal/ingest path as lines — so the journal is
-/// encoding-agnostic and replay matches live behaviour either way.
-fn serve_connection(ctx: &ConnCtx<'_>, stream: UnixStream, conn: u64) {
-    let mut writer = stream.try_clone().ok();
-    let mut dict = DecodeDict::new();
-    let mut seq = 0u64;
-    for record in RecordIter::new(BufReader::new(stream)) {
-        if ctx.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let line = match record {
-            Record::Line(line) => line,
-            Record::Item(item) => {
-                if let WireItem::Define { .. } = item {
-                    // Defines only update the connection's dictionary;
-                    // events re-render as self-contained lines, so the
-                    // journal stays definition-free.
-                    render_item_line(&mut dict, &item);
-                    continue;
-                }
-                match render_item_line(&mut dict, &item) {
-                    Some(line) => line,
-                    None => {
-                        // Undecodable item (e.g. unknown template id):
-                        // counted invalid exactly like a bad line.
-                        ctx.board.invalid.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                }
-            }
-            Record::Corrupt => {
-                ctx.board.invalid.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        seq += 1;
-        let mut pending = None;
-        let verdict = {
-            // Hold the lock across journal-write AND queue-push so the
-            // journal records the exact order events entered the queue —
-            // including the barrier position of interactive queries,
-            // which a replay must answer after the same events.
-            let mut guard = ctx.journal.map(|j| match j.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            });
-            if let Some(g) = guard.as_mut() {
-                g.write_line(conn, seq, &line);
-            }
-            let verdict =
-                ingest_one(&line, ctx.schema, ctx.queue, OverloadPolicy::DropOldest, ctx.board);
-            if let Ingest::Interactive(c) = &verdict {
-                // Interactive items are never shed — a dropped question
-                // is a hung client — so they block instead.
-                let (tx, rx) = std::sync::mpsc::channel();
-                let _ = ctx
-                    .queue
-                    .push_blocking(WorkItem::Interactive(PendingQuery::new(*c, 1, Some(tx))));
-                pending = Some(rx);
-            }
-            verdict
-        };
-        match verdict {
-            Ingest::Continue => {}
-            Ingest::Status => {
-                // A peer that hung up mid-reply is counted, never fatal:
-                // the next read sees the disconnect and ends the handler.
-                let sent = writer.as_mut().is_some_and(|w| {
-                    writeln!(
-                        w,
-                        "{}",
-                        ctx.board.line(
-                            ctx.base_dropped + ctx.queue.dropped(),
-                            &[ctx.queue.len() as u64],
-                            &ctx.arbiter.allocations(),
-                        )
-                    )
-                    .is_ok()
-                });
-                if !sent {
-                    ctx.board.reply_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Ingest::Interactive(_) => {
-                // Block this connection until the consumer reaches the
-                // barrier; a query outliving the run goes unanswered
-                // (the sender is dropped with the queue) and is skipped.
-                if let Some(rx) = pending {
-                    if let Ok(reply) = rx.recv() {
-                        let sent = writer
-                            .as_mut()
-                            .is_some_and(|w| writeln!(w, "{reply}").is_ok());
-                        if !sent {
-                            // The client asked and left: count it, keep
-                            // serving (the daemon's answer already
-                            // reflects the stream — nothing to undo).
-                            ctx.board.reply_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            Ingest::Shutdown => {
-                // Shutdown control: stop accepting and let the daemon drain.
-                ctx.stop.store(true, Ordering::Relaxed);
-                ctx.queue.close();
-                break;
-            }
-        }
-    }
-}
-
-/// A line channel presented as [`std::io::BufRead`] input for
-/// [`Router::run_reader`]: connection handlers send canonical lines in
-/// arrival order, and the channel hanging up reads as EOF.
-struct ChannelReader {
-    rx: std::sync::mpsc::Receiver<String>,
+/// The socket's line stream presented as [`std::io::BufRead`] input for
+/// an engine: connection handlers send canonical lines in arrival
+/// order, and the channel hanging up reads as EOF.
+pub struct ChannelReader {
+    rx: Receiver<String>,
     buf: Vec<u8>,
     pos: usize,
 }
@@ -330,29 +96,40 @@ impl std::io::BufRead for ChannelReader {
     }
 }
 
-/// Serve the sharded [`Router`] on a Unix-domain socket at `path` until
-/// a `shutdown` control arrives, then drain every shard, commit a final
-/// checkpoint generation and report — the sharded peer of
-/// [`run_socket`].
+/// Serve an engine on a Unix-domain socket at `path` until a `shutdown`
+/// control arrives, then let it drain, checkpoint and report. A stale
+/// socket file at `path` is replaced.
 ///
-/// Connections feed a single ordered line channel the router reads as
-/// its input stream (journal semantics are identical to the unsharded
-/// path: when `journal` is given, every line is tagged with its
-/// connection/sequence ids in consumption order). Interactive `whatif`,
-/// `tenant`, `calibration` and `status` lines are stamped with a
-/// reply-routing token
-/// ([`InteractiveRegistry`]); the answer — computed from the live
-/// [`crate::Arbiter`] after every event that preceded the query, never
-/// by re-running selection — is written back on the issuing connection
-/// as one JSON line. `sinks` carries one trace sink per shard, as in
-/// [`Router::run_reader`].
-pub fn run_socket_router(
-    router: &mut Router,
+/// `engine` runs the engine over the socket's input stream, answering
+/// interactive lines through the registry it is handed (see
+/// [`crate::Router::set_interactive`]) and counting into `board` — the
+/// engine's own status board, where connection handlers count lost
+/// replies. `schema` validates interactive controls before they are
+/// stamped with a reply token.
+///
+/// When `journal` is given, every accepted line is appended there
+/// tagged with its connection id and per-connection sequence number, in
+/// consumption order (see the module docs for the replay contract). The
+/// journal may be JSONL or binary and may rotate into segments — see
+/// [`JournalConfig`]; both encodings replay identically.
+///
+/// Clients may likewise send either encoding (even mixed on one
+/// connection): binary items are rendered back to their canonical line
+/// form, so journaling and replay semantics are identical no matter how
+/// an event arrived. Connection handlers read until their peer
+/// disconnects, so the final drain completes once every client has hung
+/// up — clients should close their end after (or instead of) sending
+/// `shutdown`.
+pub fn run_socket<F>(
     path: &Path,
-    checkpoint: Option<&Path>,
     journal: Option<&JournalConfig>,
-    sinks: &[&dyn TraceSink],
-) -> Result<ServiceReport, String> {
+    schema: &Schema,
+    board: &StatusBoard,
+    engine: F,
+) -> Result<ServiceReport, String>
+where
+    F: FnOnce(ChannelReader, Arc<InteractiveRegistry>) -> Result<ServiceReport, String>,
+{
     if path.exists() {
         std::fs::remove_file(path).map_err(|e| format!("remove stale socket: {e}"))?;
     }
@@ -367,32 +144,26 @@ pub fn run_socket_router(
         None => None,
     };
     let registry = Arc::new(InteractiveRegistry::new());
-    router.set_interactive(Arc::clone(&registry));
-    let schema = router.schema().clone();
     let stop = AtomicBool::new(false);
-    let reply_errors = AtomicU64::new(0);
     let (tx, rx) = std::sync::mpsc::channel::<String>();
-    let conn_shared = ConnShared {
-        schema: &schema,
+    let shared = ConnShared {
+        schema,
         registry: &registry,
         journal: journal.as_ref(),
         stop: &stop,
-        reply_errors: &reply_errors,
+        board,
     };
 
     let result = std::thread::scope(|s| {
-        let stop_ref = &stop;
-        let shared_ref = &conn_shared;
+        let shared = &shared;
         s.spawn(move || {
             let conn_ids = AtomicU64::new(0);
-            while !stop_ref.load(Ordering::Relaxed) {
+            while !shared.stop.load(Ordering::Relaxed) {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         let conn = conn_ids.fetch_add(1, Ordering::Relaxed) + 1;
                         let tx = tx.clone();
-                        s.spawn(move || {
-                            serve_router_connection(shared_ref, &tx, stream, conn);
-                        });
+                        s.spawn(move || serve_connection(shared, &tx, stream, conn));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(ACCEPT_POLL);
@@ -400,15 +171,14 @@ pub fn run_socket_router(
                     Err(_) => break,
                 }
             }
-            // Dropping the accept loop's sender lets the router read EOF
+            // Dropping the accept loop's sender lets the engine read EOF
             // once every connection handler has also hung up.
         });
         let reader = ChannelReader { rx, buf: Vec::new(), pos: 0 };
-        let result =
-            router.run_reader(reader, OverloadPolicy::DropOldest, checkpoint, sinks);
+        let result = engine(reader, Arc::clone(&registry));
         stop.store(true, Ordering::Relaxed);
         // Queries still in flight were either answered during the drain
-        // or never reached the router; wake any connection waiting on
+        // or never reached the engine; wake any connection waiting on
         // the latter.
         registry.drain();
         result
@@ -424,130 +194,37 @@ pub fn run_socket_router(
         }
     }
     std::fs::remove_file(path).ok();
-    let dropped_replies = reply_errors.load(Ordering::Relaxed);
-    if dropped_replies > 0 {
-        eprintln!("{dropped_replies} interactive replies lost to disconnected clients");
-    }
-    result
-}
-
-/// Serve the multi-process [`Supervisor`] on a Unix-domain socket at
-/// `path` until a `shutdown` control arrives — the process-topology
-/// peer of [`run_socket_router`], with identical connection, journal
-/// and interactive-reply semantics. The supervisor routes every line to
-/// its worker processes, and `sink` receives the supervisor-side trace
-/// (arbiter merges and failovers).
-pub fn run_socket_supervisor(
-    supervisor: &mut Supervisor,
-    path: &Path,
-    checkpoint: Option<&Path>,
-    journal: Option<&JournalConfig>,
-    sink: Option<&dyn TraceSink>,
-) -> Result<ServiceReport, String> {
-    if path.exists() {
-        std::fs::remove_file(path).map_err(|e| format!("remove stale socket: {e}"))?;
-    }
-    let listener =
-        UnixListener::bind(path).map_err(|e| format!("bind {}: {e}", path.display()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("set_nonblocking: {e}"))?;
-
-    let journal = match journal {
-        Some(cfg) => Some(Mutex::new(JournalWriter::create(cfg.clone())?)),
-        None => None,
-    };
-    let registry = Arc::new(InteractiveRegistry::new());
-    supervisor.set_interactive(Arc::clone(&registry));
-    let schema = supervisor.schema().clone();
-    let stop = AtomicBool::new(false);
-    let reply_errors = AtomicU64::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<String>();
-    let conn_shared = ConnShared {
-        schema: &schema,
-        registry: &registry,
-        journal: journal.as_ref(),
-        stop: &stop,
-        reply_errors: &reply_errors,
-    };
-
-    let result = std::thread::scope(|s| {
-        let stop_ref = &stop;
-        let shared_ref = &conn_shared;
-        s.spawn(move || {
-            let conn_ids = AtomicU64::new(0);
-            while !stop_ref.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let conn = conn_ids.fetch_add(1, Ordering::Relaxed) + 1;
-                        let tx = tx.clone();
-                        s.spawn(move || {
-                            serve_router_connection(shared_ref, &tx, stream, conn);
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        let reader = ChannelReader { rx, buf: Vec::new(), pos: 0 };
-        let result = supervisor.run_reader(reader, checkpoint, sink);
-        stop.store(true, Ordering::Relaxed);
-        registry.drain();
-        result
-    });
-    if let Some(j) = journal {
-        let writer = match j.into_inner() {
-            Ok(w) => w,
-            Err(p) => p.into_inner(),
-        };
-        let errors = writer.finish();
-        if errors > 0 {
-            return Err(format!("journal write errors: {errors}"));
-        }
-    }
-    std::fs::remove_file(path).ok();
-    let dropped_replies = reply_errors.load(Ordering::Relaxed);
-    if dropped_replies > 0 {
-        eprintln!("{dropped_replies} interactive replies lost to disconnected clients");
-    }
     result
 }
 
 /// Context the accept loop shares with every connection handler.
-#[derive(Clone, Copy)]
 struct ConnShared<'a> {
     schema: &'a Schema,
     registry: &'a InteractiveRegistry,
     journal: Option<&'a Mutex<JournalWriter>>,
     stop: &'a AtomicBool,
-    reply_errors: &'a AtomicU64,
+    board: &'a StatusBoard,
 }
 
-/// Per-connection reader for the sharded socket: render records to
-/// canonical lines, journal + forward them in one locked step (so
-/// journal order is the router's consumption order), stamp interactive
-/// lines with a reply token and relay the answer back.
-fn serve_router_connection(
-    shared: &ConnShared<'_>,
-    tx: &std::sync::mpsc::Sender<String>,
-    stream: UnixStream,
-    conn: u64,
-) {
-    let ConnShared { schema, registry, journal, stop, reply_errors } = *shared;
+/// Per-connection reader: render records to canonical lines, journal
+/// and forward them in one locked step (so journal order is the
+/// engine's consumption order), stamp interactive lines with a reply
+/// token and relay the answer back.
+fn serve_connection(shared: &ConnShared<'_>, tx: &Sender<String>, stream: UnixStream, conn: u64) {
     let mut writer = stream.try_clone().ok();
     let mut dict = DecodeDict::new();
     let mut seq = 0u64;
     for record in RecordIter::new(BufReader::new(stream)) {
-        if stop.load(Ordering::Relaxed) {
+        if shared.stop.load(Ordering::Relaxed) {
             break;
         }
         let line = match record {
             Record::Line(line) => line,
             Record::Item(item) => {
                 if let WireItem::Define { .. } = item {
+                    // Defines only update the connection's dictionary;
+                    // events re-render as self-contained lines, so the
+                    // journal stays definition-free.
                     render_item_line(&mut dict, &item);
                     continue;
                 }
@@ -565,7 +242,7 @@ fn serve_router_connection(
             continue;
         }
         seq += 1;
-        let control = match parse_line(trimmed, schema) {
+        let control = match parse_line(trimmed, shared.schema) {
             Ok(InputLine::Control(c)) => Some(c),
             _ => None,
         };
@@ -582,9 +259,8 @@ fn serve_router_connection(
         let mut pending = None;
         {
             // Journal-write and channel-send under one lock so journal
-            // order is consumption order — the replay contract of the
-            // unsharded socket path, unchanged.
-            let mut guard = journal.map(|j| match j.lock() {
+            // order is consumption order.
+            let mut guard = shared.journal.map(|j| match j.lock() {
                 Ok(g) => g,
                 Err(p) => p.into_inner(),
             });
@@ -593,7 +269,7 @@ fn serve_router_connection(
             }
             if interactive {
                 let (reply_tx, reply_rx) = std::sync::mpsc::channel();
-                let token = registry.register(reply_tx);
+                let token = shared.registry.register(reply_tx);
                 let body = &trimmed[..trimmed.len() - 1];
                 let _ = tx.send(format!("{body},\"token\":{token}}}"));
                 pending = Some(reply_rx);
@@ -603,18 +279,18 @@ fn serve_router_connection(
         }
         if let Some(reply_rx) = pending {
             if let Ok(reply) = reply_rx.recv() {
-                // Count a peer that hung up mid-reply; never abort the
-                // handler (the stream keeps draining until disconnect).
+                // A peer that hung up mid-reply is counted, never fatal:
+                // the stream keeps draining until disconnect.
                 let sent = writer
                     .as_mut()
                     .is_some_and(|w| writeln!(w, "{reply}").is_ok());
                 if !sent {
-                    reply_errors.fetch_add(1, Ordering::Relaxed);
+                    shared.board.reply_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
         if matches!(control, Some(Control::Shutdown)) {
-            stop.store(true, Ordering::Relaxed);
+            shared.stop.store(true, Ordering::Relaxed);
             break;
         }
     }
@@ -624,8 +300,20 @@ fn serve_router_connection(
 mod tests {
     use super::*;
     use crate::config::{DriftThresholds, ServiceConfig};
+    use crate::router::{OverloadPolicy, Router};
     use isel_workload::synthetic::{self, SyntheticConfig};
     use std::io::Read;
+
+    /// Serve `router` on `sock` the way `isel serve --socket` does.
+    fn serve(router: &mut Router, sock: &Path, journal: Option<&JournalConfig>) -> ServiceReport {
+        let board = router.status_board();
+        let schema = router.schema().clone();
+        run_socket(sock, journal, &schema, &board, |input, registry| {
+            router.set_interactive(registry);
+            router.run_with_board(&board, input, OverloadPolicy::DropOldest, None, &[])
+        })
+        .unwrap()
+    }
 
     fn test_setup() -> (isel_workload::Workload, ServiceConfig, std::path::PathBuf) {
         let w = synthetic::generate(&SyntheticConfig {
@@ -663,7 +351,7 @@ mod tests {
     fn socket_round_trip_with_shutdown() {
         let (w, cfg, dir) = test_setup();
         let sock = dir.join(format!("isel-{}.sock", std::process::id()));
-        let mut daemon = Daemon::new(w.schema().clone(), cfg).unwrap();
+        let mut router = Router::new(w.schema().clone(), cfg).unwrap();
         let events = event_lines(&w, 8);
 
         let report = std::thread::scope(|s| {
@@ -682,7 +370,7 @@ mod tests {
                 }
                 stream.write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
             });
-            run_socket(&mut daemon, &sock, None, None, Trace::disabled()).unwrap()
+            serve(&mut router, &sock, None)
         });
         assert_eq!(report.ingested, 8);
         assert_eq!(report.epochs.len(), 1, "8 events seal one epoch");
@@ -694,7 +382,7 @@ mod tests {
     fn whatif_queries_are_answered_on_the_connection() {
         let (w, cfg, dir) = test_setup();
         let sock = dir.join(format!("isel-whatif-{}.sock", std::process::id()));
-        let mut daemon = Daemon::new(w.schema().clone(), cfg).unwrap();
+        let mut router = Router::new(w.schema().clone(), cfg).unwrap();
         let events = event_lines(&w, 8);
         let probe = 1u64 << 20;
 
@@ -726,7 +414,7 @@ mod tests {
                 stream.write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
                 String::from_utf8(reply).unwrap()
             });
-            let report = run_socket(&mut daemon, &sock, None, None, Trace::disabled()).unwrap();
+            let report = serve(&mut router, &sock, None);
             (report, client.join().unwrap())
         });
         assert_eq!(report.ingested, 8);
@@ -736,7 +424,7 @@ mod tests {
         assert!(v.get("total_memory").and_then(|m| m.as_u64()).unwrap() <= probe);
         // Served answer is byte-identical to an offline read of the same
         // maintained state.
-        assert_eq!(reply, daemon.arbiter_handle().whatif(probe));
+        assert_eq!(reply, router.arbiter().whatif(probe));
     }
 
     #[test]
@@ -809,8 +497,7 @@ mod tests {
                 stream.write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
                 replies
             });
-            let report =
-                run_socket_router(&mut router, &sock, None, None, &[]).unwrap();
+            let report = serve(&mut router, &sock, None);
             (report, client.join().unwrap())
         });
         assert_eq!(report.ingested, 16);
@@ -866,7 +553,7 @@ mod tests {
         // other connections keep being served.
         let (w, cfg, dir) = test_setup();
         let sock = dir.join(format!("isel-gone-{}.sock", std::process::id()));
-        let mut daemon = Daemon::new(w.schema().clone(), cfg).unwrap();
+        let mut router = Router::new(w.schema().clone(), cfg).unwrap();
         let events = event_lines(&w, 8);
 
         let report = std::thread::scope(|s| {
@@ -893,7 +580,7 @@ mod tests {
                 await_ingested(&mut stream, 9);
                 stream.write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
             });
-            run_socket(&mut daemon, &sock, None, None, Trace::disabled()).unwrap()
+            serve(&mut router, &sock, None)
         });
         assert_eq!(report.ingested, 9, "both connections fully served");
     }
@@ -927,7 +614,7 @@ mod tests {
                 await_ingested(&mut stream, 9);
                 stream.write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
             });
-            run_socket_router(&mut router, &sock, None, None, &[]).unwrap()
+            serve(&mut router, &sock, None)
         });
         assert_eq!(report.ingested, 9, "both connections fully served");
     }
@@ -937,7 +624,7 @@ mod tests {
         let (w, cfg, dir) = test_setup();
         let sock = dir.join(format!("isel-journal-{}.sock", std::process::id()));
         let journal = dir.join(format!("isel-journal-{}.jsonl", std::process::id()));
-        let mut daemon = Daemon::new(w.schema().clone(), cfg.clone()).unwrap();
+        let mut router = Router::new(w.schema().clone(), cfg.clone()).unwrap();
         let events = event_lines(&w, 8);
 
         let report = std::thread::scope(|s| {
@@ -974,7 +661,7 @@ mod tests {
                 format: crate::journal::WireFormat::Jsonl,
                 max_bytes: None,
             };
-            run_socket(&mut daemon, &sock, None, Some(&jcfg), Trace::disabled()).unwrap()
+            serve(&mut router, &sock, Some(&jcfg))
         });
         assert_eq!(report.ingested, 8);
 
@@ -994,14 +681,9 @@ mod tests {
 
         // Replaying the journal through the deterministic reader
         // reproduces the live outcome: RawLine ignores conn/seq.
-        let mut replay = Daemon::new(w.schema().clone(), cfg).unwrap();
+        let mut replay = Router::new(w.schema().clone(), cfg).unwrap();
         let rep = replay
-            .run_reader(
-                std::io::Cursor::new(text),
-                OverloadPolicy::Block,
-                None,
-                Trace::disabled(),
-            )
+            .run_reader(std::io::Cursor::new(text), OverloadPolicy::Block, None, &[])
             .unwrap();
         assert_eq!(rep.ingested, report.ingested);
         assert_eq!(rep.epochs.len(), report.epochs.len());
@@ -1010,5 +692,64 @@ mod tests {
             report.final_selection.indexes()
         );
         std::fs::remove_file(&journal).ok();
+    }
+
+    #[test]
+    fn lost_replies_reach_the_status_board() {
+        // A client that shut down its read side before asking makes the
+        // reply write fail with EPIPE every time; the loss must show in
+        // the engine's status line, in whole-schema and sharded mode.
+        for shards in [0u32, 2] {
+            let (w, cfg, dir) = test_setup();
+            let cfg = ServiceConfig { shards, ..cfg };
+            let sock = dir.join(format!("isel-lost-{shards}-{}.sock", std::process::id()));
+            let mut router = Router::new(w.schema().clone(), cfg).unwrap();
+            let events = event_lines(&w, 8);
+
+            let report = std::thread::scope(|s| {
+                let sock_path = sock.clone();
+                let events = &events;
+                s.spawn(move || {
+                    let mut deaf = loop {
+                        match UnixStream::connect(&sock_path) {
+                            Ok(s) => break s,
+                            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+                        }
+                    };
+                    deaf.shutdown(std::net::Shutdown::Read).unwrap();
+                    for e in events {
+                        writeln!(deaf, "{e}").unwrap();
+                    }
+                    writeln!(deaf, "{{\"control\":\"whatif\",\"budget\":1048576}}").unwrap();
+                    let mut stream = UnixStream::connect(&sock_path).unwrap();
+                    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+                    loop {
+                        stream.write_all(b"{\"control\":\"status\"}\n").unwrap();
+                        let mut reply = Vec::new();
+                        let mut byte = [0u8; 1];
+                        loop {
+                            stream.read_exact(&mut byte).unwrap();
+                            if byte[0] == b'\n' {
+                                break;
+                            }
+                            reply.push(byte[0]);
+                        }
+                        let reply = String::from_utf8(reply).unwrap();
+                        if reply.contains("\"reply_errors\":1,") {
+                            break;
+                        }
+                        assert!(
+                            std::time::Instant::now() < deadline,
+                            "lost reply never counted at {shards} shards: {reply}"
+                        );
+                        std::thread::sleep(Duration::from_millis(5));
+                    }
+                    drop(deaf);
+                    stream.write_all(b"{\"control\":\"shutdown\"}\n").unwrap();
+                });
+                serve(&mut router, &sock, None)
+            });
+            assert_eq!(report.ingested, 8, "the deaf client's events were served");
+        }
     }
 }

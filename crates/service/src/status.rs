@@ -7,10 +7,13 @@
 //! object. Two triggers emit the line while the service runs:
 //!
 //! * `SIGUSR1` — [`install_status_signal`] registers an
-//!   async-signal-safe handler that only sets a flag; the consume loops
-//!   poll [`take_status_signal`] and print the line to stderr,
-//! * a `{"control":"status"}` line — the socket path writes the line
-//!   back on the requesting connection; stdin paths print to stderr.
+//!   async-signal-safe handler that only sets a flag; the routing loops
+//!   poll [`take_status_signal`] and print the line to stderr at once,
+//! * a `{"control":"status"}` line — answered in band, like a `whatif`
+//!   query, once every event before it has been consumed (so its
+//!   counters cover exactly that prefix); the socket path writes the
+//!   line back on the requesting connection, stdin paths print to
+//!   stderr.
 //!
 //! Both handlers ([`install_status_signal`], [`install_child_signal`])
 //! are installed via `sigaction(2)` with `SA_RESTART` — not the legacy
@@ -19,8 +22,8 @@
 //! async-signal-safe thing: store to a static `AtomicBool`. Everything
 //! else (formatting, I/O, `waitpid`) happens on the polling thread.
 //!
-//! Status is out of band by design: it is never queued with events and
-//! therefore cannot perturb replay determinism.
+//! Status never perturbs replay determinism: rendering it reads
+//! counters and never feeds back into tuning.
 
 use crate::feedback::CalCounters;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,17 +48,21 @@ pub struct StatusBoard {
     pub restarts: AtomicU64,
     /// Socket replies lost to a client that disconnected mid-reply
     /// (EPIPE/partial write on a whatif/tenant/status response; the
-    /// serving loop keeps going).
+    /// serving loop keeps going). Counted by the socket front end's
+    /// connection handlers ([`crate::socket::run_socket`]), which share
+    /// the engine's board.
     pub reply_errors: AtomicU64,
     /// Observed-cost calibration counters (all zero with calibration
     /// disabled; see [`crate::feedback`]).
     pub cal: CalCounters,
-    /// Number of shards serving (0 = unsharded daemon).
+    /// The `--shards` setting served (0 = one whole-schema group on one
+    /// shard thread).
     pub shards: u32,
 }
 
 impl StatusBoard {
-    /// Fresh board for an `shards`-way run (0 = unsharded).
+    /// Fresh board for a run at `--shards shards` (0 = whole-schema
+    /// mode).
     pub fn new(shards: u32) -> Self {
         Self { shards, ..Self::default() }
     }
@@ -63,11 +70,12 @@ impl StatusBoard {
     /// Render the aggregated counters as a single JSON status line.
     /// `dropped` is passed in because queue eviction counts live in the
     /// queues themselves; `queue_depths` (one entry per shard queue, in
-    /// shard order; a single entry for the unsharded daemon) is a
+    /// shard order; one entry in whole-schema mode) is a
     /// point-in-time backlog sample — the live observability signal for
     /// a shard falling behind; `allocations` is the arbiter's current
-    /// per-group budget split (`[table, bytes]` pairs, sorted by table;
-    /// empty before anything was published).
+    /// per-group budget split (`[table, bytes]` pairs, sorted by table —
+    /// a single `[0, bytes]` for the whole-schema group; empty before
+    /// anything was published).
     pub fn line(&self, dropped: u64, queue_depths: &[u64], allocations: &[(u16, u64)]) -> String {
         use std::fmt::Write as _;
         let mut queues = String::new();

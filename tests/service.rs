@@ -1,12 +1,12 @@
 //! Service-layer integration and property tests: sliding-window
 //! aggregation invariants, replay determinism (the DESIGN.md §12
 //! contract), and kill-then-restore convergence from a mid-run
-//! checkpoint.
+//! checkpoint. Tests without `shards` in their config run whole-schema
+//! mode: one tuning group over every table.
 
-use isel_core::Trace;
+use isel_core::TraceSink;
 use isel_service::{
-    offline_adapt, offline_snapshots, Checkpoint, Daemon, DriftThresholds, EpochWindow,
-    OverloadPolicy, ServiceConfig,
+    DriftThresholds, EpochWindow, Manifest, OverloadPolicy, ServiceConfig, ShardCheckpoint,
 };
 use isel_workload::synthetic::{self, SyntheticConfig};
 use isel_workload::{AttrId, Query, Schema, TableId, Workload};
@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::Cursor;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn small_schema(attrs: usize) -> Schema {
     let mut b = isel_workload::SchemaBuilder::new();
@@ -82,6 +82,11 @@ fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("isel_service_integration");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
+}
+
+/// The shard documents of the generation committed at `manifest`.
+fn committed_shards(manifest: &Path) -> Vec<ShardCheckpoint> {
+    Manifest::load(manifest).unwrap().load_shards(manifest).unwrap()
 }
 
 /// Random event stream over a 6-attribute table: (attr-set, frequency)
@@ -200,17 +205,12 @@ fn replay_is_deterministic_across_thread_counts() {
         let cfg = service_config(threads);
         let cp_path = tmp(&format!("replay_t{threads}.json"));
         std::fs::remove_file(&cp_path).ok();
-        let mut daemon = Daemon::new(w.schema().clone(), cfg).unwrap();
-        let report = daemon
-            .run_reader(
-                Cursor::new(log.clone()),
-                OverloadPolicy::Block,
-                Some(&cp_path),
-                Trace::disabled(),
-            )
+        let mut router = Router::new(w.schema().clone(), cfg).unwrap();
+        let report = router
+            .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, Some(&cp_path), &[])
             .unwrap();
         assert_eq!(report.dropped, 0, "blocking replay never drops");
-        let cp_bytes = std::fs::read(&cp_path).unwrap();
+        let cp_bytes = committed_shards(&cp_path);
         let selections: Vec<_> = report.epochs.iter().map(|e| e.selection.clone()).collect();
         runs.push((selections, cp_bytes));
     }
@@ -220,16 +220,15 @@ fn replay_is_deterministic_across_thread_counts() {
     // The checkpoint embeds its config (whose `threads` field differs by
     // construction); everything else must be byte-identical. Compare via
     // the parsed form with the config normalized.
-    let mut a = Checkpoint::from_json(std::str::from_utf8(cp_1).unwrap()).unwrap();
-    let mut b = Checkpoint::from_json(std::str::from_utf8(cp_4).unwrap()).unwrap();
+    let (mut a, mut b) = (cp_1[0].clone(), cp_4[0].clone());
     a.config.threads = 0;
     b.config.threads = 0;
     assert_eq!(a.to_json().unwrap(), b.to_json().unwrap());
 
     // Both match the offline dynamic::adapt reference.
     let cfg = service_config(1);
-    let snaps = offline_snapshots(Cursor::new(log), w.schema(), &cfg).unwrap();
-    let offline = offline_adapt(&snaps, &cfg);
+    let snaps = offline_group_snapshots(Cursor::new(log), w.schema(), &cfg).unwrap();
+    let offline = offline_group_adapt(&snaps, &cfg).remove(&0).unwrap();
     assert_eq!(sel_1.len(), offline.len());
     for (got, want) in sel_1.iter().zip(&offline) {
         assert_eq!(got, want);
@@ -247,14 +246,9 @@ fn kill_then_restore_converges_to_uninterrupted_run() {
     let lines: Vec<&str> = log.lines().collect();
 
     // Uninterrupted reference run.
-    let mut reference = Daemon::new(w.schema().clone(), cfg.clone()).unwrap();
+    let mut reference = Router::new(w.schema().clone(), cfg.clone()).unwrap();
     let ref_report = reference
-        .run_reader(
-            Cursor::new(log.clone()),
-            OverloadPolicy::Block,
-            None,
-            Trace::disabled(),
-        )
+        .run_reader(Cursor::new(log.clone()), OverloadPolicy::Block, None, &[])
         .unwrap();
     assert_eq!(ref_report.epochs.len(), 6, "96 events / 16 per epoch");
 
@@ -263,31 +257,21 @@ fn kill_then_restore_converges_to_uninterrupted_run() {
     let cp_path = tmp("kill_restore.json");
     std::fs::remove_file(&cp_path).ok();
     let head = format!("{}\n", lines[..40].join("\n"));
-    let mut first = Daemon::new(w.schema().clone(), cfg.clone()).unwrap();
+    let mut first = Router::new(w.schema().clone(), cfg.clone()).unwrap();
     let head_report = first
-        .run_reader(
-            Cursor::new(head),
-            OverloadPolicy::Block,
-            Some(&cp_path),
-            Trace::disabled(),
-        )
+        .run_reader(Cursor::new(head), OverloadPolicy::Block, Some(&cp_path), &[])
         .unwrap();
     assert_eq!(head_report.epochs.len(), 2);
     drop(first); // the "kill"
 
     // Restore and feed the remainder.
-    let cp = Checkpoint::load(&cp_path).unwrap();
-    assert_eq!(cp.ingested, 40);
-    let mut resumed = Daemon::resume(w.schema().clone(), cfg.clone(), &cp).unwrap();
-    assert_eq!(resumed.epoch(), 2);
+    let cp = committed_shards(&cp_path);
+    assert_eq!(cp[0].ingested, 40);
+    let mut resumed = Router::resume(w.schema().clone(), cfg.clone(), &cp_path).unwrap();
+    assert_eq!(resumed.epochs_tuned(), 2);
     let tail = format!("{}\n", lines[40..].join("\n"));
     let tail_report = resumed
-        .run_reader(
-            Cursor::new(tail),
-            OverloadPolicy::Block,
-            Some(&cp_path),
-            Trace::disabled(),
-        )
+        .run_reader(Cursor::new(tail), OverloadPolicy::Block, Some(&cp_path), &[])
         .unwrap();
     assert_eq!(tail_report.epochs.len(), 4, "epochs 2..6 tuned after restore");
     assert_eq!(tail_report.ingested, 96, "lifetime counter spans the restart");
@@ -300,14 +284,13 @@ fn kill_then_restore_converges_to_uninterrupted_run() {
     assert_eq!(tail_report.final_selection, ref_report.final_selection);
 
     // Restoring the final checkpoint and re-capturing is byte-stable.
-    let final_cp = Checkpoint::load(&cp_path).unwrap();
-    let roundtrip = Daemon::resume(w.schema().clone(), cfg, &final_cp).unwrap();
-    assert_eq!(roundtrip.epoch(), 6);
-    assert_eq!(roundtrip.selection(), &ref_report.final_selection);
+    let roundtrip = Router::resume(w.schema().clone(), cfg, &cp_path).unwrap();
+    assert_eq!(roundtrip.epochs_tuned(), 6);
+    assert_eq!(roundtrip.final_selection(), ref_report.final_selection);
 }
 
-/// A daemon trace passes `report --check`-grade validation: parseable
-/// JSON lines whose per-run accounting sums hold.
+/// A whole-schema trace passes `report --check`-grade validation:
+/// parseable JSON lines whose per-run accounting sums hold.
 #[test]
 fn daemon_trace_passes_accounting_checks() {
     use isel_core::{JsonLinesSink, RunReport};
@@ -315,14 +298,9 @@ fn daemon_trace_passes_accounting_checks() {
     let cfg = service_config(1);
     let log = sample_log(&w, 48, 4);
     let sink = JsonLinesSink::new(Vec::new());
-    let mut daemon = Daemon::new(w.schema().clone(), cfg).unwrap();
-    daemon
-        .run_reader(
-            Cursor::new(log),
-            OverloadPolicy::Block,
-            None,
-            Trace::to(&sink),
-        )
+    let mut router = Router::new(w.schema().clone(), cfg).unwrap();
+    router
+        .run_reader(Cursor::new(log), OverloadPolicy::Block, None, &[&sink as &dyn TraceSink])
         .unwrap();
     let bytes = sink.finish().unwrap();
     let text = String::from_utf8(bytes).unwrap();
@@ -590,7 +568,6 @@ use isel_service::{
     RecordIter, WireFormat, FORMAT_VERSION, MAGIC,
 };
 use isel_workload::{tpcc, QueryKind};
-use std::path::Path;
 
 /// Run a router over `bytes` with a checkpoint manifest in a private
 /// scratch directory; return the report plus every checkpoint file the
@@ -819,14 +796,9 @@ fn golden_tpcc_fixture_matches_its_jsonl_twin() {
 
     let w = tpcc::generate(50).0;
     let run = |bytes: &[u8]| {
-        let mut daemon = Daemon::new(w.schema().clone(), service_config(1)).unwrap();
-        daemon
-            .run_reader(
-                Cursor::new(bytes.to_vec()),
-                OverloadPolicy::Block,
-                None,
-                Trace::disabled(),
-            )
+        let mut router = Router::new(w.schema().clone(), service_config(1)).unwrap();
+        router
+            .run_reader(Cursor::new(bytes.to_vec()), OverloadPolicy::Block, None, &[])
             .unwrap()
     };
     let a = run(&jsonl);
@@ -985,16 +957,11 @@ fn golden_observed_fixture_matches_its_jsonl_twin() {
     let run = |bytes: &[u8]| {
         let mut config = service_config(1);
         config.calibration.enabled = true;
-        let mut daemon = Daemon::new(w.schema().clone(), config).unwrap();
-        let report = daemon
-            .run_reader(
-                Cursor::new(bytes.to_vec()),
-                OverloadPolicy::Block,
-                None,
-                Trace::disabled(),
-            )
+        let mut router = Router::new(w.schema().clone(), config).unwrap();
+        let report = router
+            .run_reader(Cursor::new(bytes.to_vec()), OverloadPolicy::Block, None, &[])
             .unwrap();
-        (report, daemon.calibration())
+        (report, router.calibration())
     };
     let (a, cal_a) = run(&jsonl);
     let (b, cal_b) = run(&bin);
